@@ -53,7 +53,6 @@ from .region import (
     height,
     parse_region,
     prune_to_depth,
-    sources_of,
     topological_order,
     validate,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "run_depth_experiment",
     "run_scarcity",
     "save_checkpoint",
-    "sources_of",
     "split_chronological",
     "topological_order",
     "train",

@@ -123,8 +123,10 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     """Parse a series file (CSV ``timestamp,basin_id,precip,level``).
 
     Rows may arrive in any order; the timestamp grid is the sorted set of
-    timestamps seen and must be uniformly spaced. Basins of ``g`` missing
-    from the file (entirely or at single steps) come back as NaN.
+    timestamps seen and must be uniformly spaced. An empty reading marks a
+    missing value; ``nan``, ``inf`` and other non-finite literals are
+    rejected. Missing readings and basins of ``g`` missing from the file
+    (entirely or at single steps) come back as NaN.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -152,6 +154,10 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
             level = float(level_text) if level_text else math.nan
         except ValueError:
             raise HydroNetsError("syntax-error", f"line {lineno}: bad numeric field") from None
+        if (precip_text and not math.isfinite(precip)) or (level_text and not math.isfinite(level)):
+            raise HydroNetsError(
+                "non-finite", f"line {lineno}: non-finite reading; leave the field empty when missing"
+            )
         rows.append((ts, bid, precip, level))
 
     if not rows:

@@ -4,10 +4,12 @@ machine-readable report tables.
 Three runners cover the questions the model family is built for: how much
 upstream graph depth helps prediction at the drain, how the tree model
 compares with the flat baseline across all basins of a region, and how
-that comparison shifts when training data is scarce. Each run writes its
-aggregated table, the per-seed values behind it, and a manifest pinning
-the config and input hashes, so a re-run reproduces every artifact
-byte-for-byte.
+that comparison shifts when training data is scarce. Each runner lists
+its grid as jobs, one per cell and seed, and each job returns its own
+per-seed rows; one helper runs the jobs, serially or on a thread pool,
+and reduces the rows in job order. Each run writes its aggregated table,
+the per-seed values behind it, and a manifest pinning the config and
+input hashes, so a re-run reproduces every artifact byte-for-byte.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -158,12 +161,20 @@ def _dims_from(doc: Mapping) -> Dims:
         raise HydroNetsError("invalid-config", "dims needs window, embedding, and horizon") from None
 
 
+# JSON value types accepted for each annotated TrainConfig field type.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 def _train_from(doc: Mapping) -> TrainConfig:
-    unknown = set(doc) - {
-        "learning_rate", "epochs", "batch_size", "seed", "optimizer", "beta1", "beta2", "eps"
-    }
+    if not isinstance(doc, Mapping):
+        raise HydroNetsError("invalid-config", "train must be an object")
+    types = {f.name: f.type for f in fields(TrainConfig)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise HydroNetsError("invalid-config", f"unknown train fields: {sorted(unknown)}")
+    for name, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[name]]):
+            raise HydroNetsError("invalid-config", f"train field {name!r} must be {types[name]}, got {value!r}")
     return TrainConfig(**doc)
 
 
@@ -200,24 +211,13 @@ class ReportTable:
         ]
 
 
-def emit_report(table: ReportTable, fmt: str = "csv") -> str:
-    """Render the aggregated table deterministically, numbers at 6 decimal
-    places. CSV has a fixed header; JSON is a list of row objects."""
-    if fmt == "csv":
-        lines = ["key,basin,model,mean,std,n_seeds"]
-        for r in table.rows:
-            lines.append(f"{r.key},{r.basin},{r.model},{r.mean:.6f},{r.std:.6f},{r.n_seeds}")
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        if not table.rows:
-            return "[]\n"
-        items = [
-            '  {"key": %s, "basin": %s, "model": %s, "mean": %.6f, "std": %.6f, "n_seeds": %d}'
-            % (json.dumps(r.key), json.dumps(r.basin), json.dumps(r.model), r.mean, r.std, r.n_seeds)
-            for r in table.rows
-        ]
-        return "[\n" + ",\n".join(items) + "\n]\n"
-    raise HydroNetsError("invalid-config", f"unknown report format {fmt!r}")
+def emit_report(table: ReportTable) -> str:
+    """Render the aggregated table as CSV with a fixed header, numbers at
+    6 decimal places."""
+    lines = ["key,basin,model,mean,std,n_seeds"]
+    for r in table.rows:
+        lines.append(f"{r.key},{r.basin},{r.model},{r.mean:.6f},{r.std:.6f},{r.n_seeds}")
+    return "\n".join(lines) + "\n"
 
 
 def emit_seed_rows(table: ReportTable) -> str:
@@ -228,19 +228,23 @@ def emit_seed_rows(table: ReportTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _aggregate(
-    seed_rows: list[SeedRow], keys: list[tuple[str, str, str]]
-) -> ReportTable:
-    """Reduce per-seed rows to (mean, std) rows in the given (key, basin,
-    model) order. Population std, full precision."""
-    rows = []
-    for key, basin, model in keys:
-        values = [r.value for r in seed_rows if (r.key, r.basin, r.model) == (key, basin, model)]
-        rows.append(ReportRow(
+def _aggregate(seed_rows: list[SeedRow]) -> ReportTable:
+    """Reduce per-seed rows to (mean, std) rows in one pass: (key, basin)
+    pairs in order of first appearance, model kinds in ``MODEL_KINDS``
+    order within each. Population std, full precision."""
+    groups: dict[tuple[str, str], dict[str, list[float]]] = {}
+    for r in seed_rows:
+        groups.setdefault((r.key, r.basin), {}).setdefault(r.model, []).append(r.value)
+    rows = tuple(
+        ReportRow(
             key=key, basin=basin, model=model,
             mean=float(np.mean(values)), std=float(np.std(values)), n_seeds=len(values),
-        ))
-    return ReportTable(rows=tuple(rows), seed_rows=tuple(seed_rows))
+        )
+        for (key, basin), by_model in groups.items()
+        for model in MODEL_KINDS
+        if (values := by_model.get(model))
+    )
+    return ReportTable(rows=rows, seed_rows=tuple(seed_rows))
 
 
 # --- shared plumbing ------------------------------------------------------------
@@ -262,17 +266,55 @@ def load_inputs(cfg: ExperimentConfig) -> tuple[RegionGraph, SeriesStore, dict[s
     return g, store, hashes
 
 
-def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
-    """Execute jobs, optionally on a thread pool. Results come back in job
-    order either way, so the reduction cannot depend on scheduling."""
+Data = tuple[ExampleSet, ExampleSet, NormStats]    # train set, test set, norm stats
+
+
+def _run_grid(jobs: list[Callable[[], list[SeedRow]]], workers: int) -> ReportTable:
+    """Run the jobs, on a thread pool when ``workers`` > 1, and aggregate
+    their seed rows. Rows come back in job order either way, so the
+    reduction cannot depend on scheduling."""
     if workers <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+        results = [job() for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda job: job(), jobs))
+    return _aggregate([row for rows in results for row in rows])
 
 
-def _metric_at(params, test_set: ExampleSet, stats: NormStats, basin: str, metric: str) -> float:
-    return getattr(evaluate(params, test_set, stats).by_basin()[basin], metric)
+def _flat_rows(
+    cfg: ExperimentConfig, g: RegionGraph, target: str, depth: int, key: str, data: Data, seed: int
+) -> list[SeedRow]:
+    """Flat baseline on ``target``'s depth-limited subtree, scored there."""
+    train_set, test_set, stats = data
+    fp = init_flat(g, target, depth, cfg.dims, seed)
+    fp = train_flat(fp, train_set, replace(cfg.train, seed=seed)).params
+    score = evaluate(fp, test_set, stats).by_basin()[target]
+    return [SeedRow(key, target, "linear", seed, getattr(score, cfg.metric))]
+
+
+def _tree_rows(
+    cfg: ExperimentConfig, g: RegionGraph, w: LossWeights | None, basins: tuple[str, ...],
+    key: str, data: Data, seed: int,
+) -> list[SeedRow]:
+    """Tree model on all of ``g`` under loss weights ``w``, scored at each
+    of ``basins``."""
+    train_set, test_set, stats = data
+    hp = init_hydronet(g, cfg.dims, seed)
+    hp = train(hp, train_set, replace(cfg.train, seed=seed), w).params
+    scores = evaluate(hp, test_set, stats).by_basin()
+    return [SeedRow(key, bid, "hydronets", seed, getattr(scores[bid], cfg.metric)) for bid in basins]
+
+
+def _pair_rows(
+    cfg: ExperimentConfig, g: RegionGraph, target: str, flat_depth: int, key: str, data: Data, seed: int
+) -> list[SeedRow]:
+    """Both model kinds at ``target``: the flat baseline, then the tree
+    model with its loss focused there."""
+    w = LossWeights.focused(g.basin_ids, target, cfg.alpha)
+    return (
+        _flat_rows(cfg, g, target, flat_depth, key, data, seed)
+        + _tree_rows(cfg, g, w, (target,), key, data, seed)
+    )
 
 
 def _write_run(
@@ -290,7 +332,7 @@ def _write_run(
     if extra_echo:
         manifest.update(extra_echo)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    (out / "report.csv").write_text(emit_report(table, "csv"))
+    (out / "report.csv").write_text(emit_report(table))
     (out / "seeds.csv").write_text(emit_seed_rows(table))
     for fname, text in (extra_files or {}).items():
         (out / fname).write_text(text)
@@ -310,38 +352,12 @@ def run_depth_experiment(cfg: ExperimentConfig) -> ReportTable:
     drain = drain_of(g)
     depths = range(1, height(g) + 1)
 
-    prepared = {}
+    jobs = []
     for d in depths:
         sub = prune_to_depth(g, drain, d)
-        prepared[d] = (sub, *prepare_datasets(
-            store, sub, cfg.dims.window, cfg.dims.horizon, cfg.train_frac
-        ))
-
-    def make_job(d: int, seed: int) -> Callable[[], tuple[float, float]]:
-        sub, train_set, test_set, stats = prepared[d]
-        tc = replace(cfg.train, seed=seed)
-
-        def job() -> tuple[float, float]:
-            fp = init_flat(sub, drain, d, cfg.dims, seed)
-            fp = train_flat(fp, train_set, tc).params
-            lin = _metric_at(fp, test_set, stats, drain, cfg.metric)
-            hp = init_hydronet(sub, cfg.dims, seed)
-            w = LossWeights.focused(sub.basin_ids, drain, cfg.alpha)
-            hp = train(hp, train_set, tc, w).params
-            hyd = _metric_at(hp, test_set, stats, drain, cfg.metric)
-            return lin, hyd
-
-        return job
-
-    labels = [(d, seed) for d in depths for seed in cfg.seeds]
-    results = _run_jobs([make_job(d, seed) for d, seed in labels], cfg.workers)
-
-    seed_rows = []
-    for (d, seed), (lin, hyd) in zip(labels, results):
-        seed_rows.append(SeedRow(f"depth={d}", drain, "linear", seed, lin))
-        seed_rows.append(SeedRow(f"depth={d}", drain, "hydronets", seed, hyd))
-    keys = [(f"depth={d}", drain, kind) for d in depths for kind in MODEL_KINDS]
-    table = _aggregate(seed_rows, keys)
+        data = prepare_datasets(store, sub, cfg.dims.window, cfg.dims.horizon, cfg.train_frac)
+        jobs += [partial(_pair_rows, cfg, sub, drain, d, f"depth={d}", data, seed) for seed in cfg.seeds]
+    table = _run_grid(jobs, cfg.workers)
     _write_run(cfg.out_dir, "depth", cfg, table, hashes)
     return table
 
@@ -391,34 +407,12 @@ def run_all_basins(
         if bid not in g:
             raise HydroNetsError("unknown-basin", f"target basin {bid!r} not in region")
 
-    train_set, test_set, stats = prepare_datasets(
-        store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac
+    data = prepare_datasets(store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac)
+    table = _run_grid(
+        [partial(_pair_rows, cfg, g, t, cfg.flat_depth, "all-basins", data, seed)
+         for t in targets for seed in cfg.seeds],
+        cfg.workers,
     )
-
-    def make_job(target: str, seed: int) -> Callable[[], tuple[float, float]]:
-        tc = replace(cfg.train, seed=seed)
-
-        def job() -> tuple[float, float]:
-            fp = init_flat(g, target, cfg.flat_depth, cfg.dims, seed)
-            fp = train_flat(fp, train_set, tc).params
-            lin = _metric_at(fp, test_set, stats, target, cfg.metric)
-            hp = init_hydronet(g, cfg.dims, seed)
-            w = LossWeights.focused(g.basin_ids, target, cfg.alpha)
-            hp = train(hp, train_set, tc, w).params
-            hyd = _metric_at(hp, test_set, stats, target, cfg.metric)
-            return lin, hyd
-
-        return job
-
-    labels = [(t, seed) for t in targets for seed in cfg.seeds]
-    results = _run_jobs([make_job(t, seed) for t, seed in labels], cfg.workers)
-
-    seed_rows = []
-    for (t, seed), (lin, hyd) in zip(labels, results):
-        seed_rows.append(SeedRow("all-basins", t, "linear", seed, lin))
-        seed_rows.append(SeedRow("all-basins", t, "hydronets", seed, hyd))
-    keys = [("all-basins", t, kind) for t in targets for kind in MODEL_KINDS]
-    table = _aggregate(seed_rows, keys)
 
     by_key = {(r.basin, r.model): r.mean for r in table.rows}
     comparison = tuple(
@@ -466,45 +460,16 @@ def run_scarcity(
         raise HydroNetsError(
             "invalid-config", f"largest training size {max(counts)} exceeds the {n} available"
         )
-    cut = {c: train_full.subset(np.arange(n - c, n)) for c in counts}
-
-    def make_tree_job(c: int, seed: int) -> Callable[[], dict[str, float]]:
-        tc = replace(cfg.train, seed=seed)
-
-        def job() -> dict[str, float]:
-            hp = init_hydronet(g, cfg.dims, seed)
-            hp = train(hp, cut[c], tc).params
-            report = evaluate(hp, test_set, stats).by_basin()
-            return {bid: getattr(report[bid], cfg.metric) for bid in basins}
-
-        return job
-
-    def make_flat_job(c: int, bid: str, seed: int) -> Callable[[], float]:
-        tc = replace(cfg.train, seed=seed)
-
-        def job() -> float:
-            fp = init_flat(g, bid, cfg.flat_depth, cfg.dims, seed)
-            fp = train_flat(fp, cut[c], tc).params
-            return _metric_at(fp, test_set, stats, bid, cfg.metric)
-
-        return job
-
-    tree_labels = [(c, seed) for c in counts for seed in cfg.seeds]
-    flat_labels = [(c, bid, seed) for c in counts for bid in basins for seed in cfg.seeds]
-    jobs = [make_tree_job(c, s) for c, s in tree_labels]
-    jobs += [make_flat_job(c, b, s) for c, b, s in flat_labels]
-    results = _run_jobs(jobs, cfg.workers)
-    tree_results = results[: len(tree_labels)]
-    flat_results = results[len(tree_labels):]
-
-    seed_rows = []
-    for (c, seed), by_basin in zip(tree_labels, tree_results):
-        for bid in basins:
-            seed_rows.append(SeedRow(f"train={c}", bid, "hydronets", seed, by_basin[bid]))
-    for (c, bid, seed), value in zip(flat_labels, flat_results):
-        seed_rows.append(SeedRow(f"train={c}", bid, "linear", seed, value))
-    keys = [(f"train={c}", bid, kind) for c in counts for bid in basins for kind in MODEL_KINDS]
-    table = _aggregate(seed_rows, keys)
+    data = {c: (train_full.subset(np.arange(n - c, n)), test_set, stats) for c in counts}
+    jobs = [
+        partial(_tree_rows, cfg, g, None, basins, f"train={c}", data[c], seed)
+        for c in counts for seed in cfg.seeds
+    ]
+    jobs += [
+        partial(_flat_rows, cfg, g, bid, cfg.flat_depth, f"train={c}", data[c], seed)
+        for c in counts for bid in basins for seed in cfg.seeds
+    ]
+    table = _run_grid(jobs, cfg.workers)
     _write_run(
         cfg.out_dir, "scarcity", cfg, table, hashes,
         extra_echo={"sizes": list(counts), "basins": list(basins)},

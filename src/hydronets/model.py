@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -41,6 +42,26 @@ class Dims:
             raise HydroNetsError("invalid-dims", f"all dims must be >= 1: {self}")
 
 
+Block = tuple[str, str | None, tuple[int, ...]]
+
+
+def layout(g: RegionGraph, dims: Dims) -> list[Block]:
+    """``(field, basin, shape)`` of every tree-model parameter block in
+    packing order: the shared map, then each combiner by basin id, then
+    each head by basin id. Shared blocks have basin ``None``; a head bias
+    has shape ``()``. Basins without sources have no combiner."""
+    k, d_x, t = dims.embedding, dims.channels, dims.window
+    ids = sorted(g.topo_order)
+    blocks: list[Block] = [("shared_w", None, (k, d_x + k)), ("shared_b", None, (k,))]
+    for bid in ids:
+        n_src = len(g.upstream[bid])
+        if n_src:
+            blocks += [("combiner_w", bid, (k, n_src * k)), ("combiner_b", bid, (k,))]
+    for bid in ids:
+        blocks += [("head_w", bid, (t * k,)), ("head_b", bid, ())]
+    return blocks
+
+
 @dataclass
 class HydroNetParams:
     """All learnable weights of the tree model.
@@ -48,6 +69,7 @@ class HydroNetParams:
     ``combiner_w[i]`` has shape (K, |S(i)|*K) with source embeddings
     concatenated in ascending-id order; basins without sources have no
     combiner entry. ``head_w[i]`` flattens the (T, K) embedding row-major.
+    :func:`layout` lists every block with its shape.
     """
 
     graph: RegionGraph
@@ -59,48 +81,39 @@ class HydroNetParams:
     head_w: dict[str, np.ndarray]          # (T * K,)
     head_b: dict[str, float]
 
+    def block(self, field: str, basin: str | None):
+        """Value of one :func:`layout` block."""
+        value = getattr(self, field)
+        return value if basin is None else value[basin]
+
     def pack(self) -> np.ndarray:
-        """Flatten every parameter into one vector (fixed, documented order:
-        shared, then combiners by id, then heads by id)."""
-        parts = [self.shared_w.ravel(), self.shared_b]
-        for bid in sorted(self.combiner_w):
-            parts.extend((self.combiner_w[bid].ravel(), self.combiner_b[bid]))
-        for bid in sorted(self.head_w):
-            parts.append(self.head_w[bid])
-            parts.append(np.array([self.head_b[bid]]))
-        return np.concatenate(parts)
+        """Flatten every parameter into one vector in :func:`layout` order."""
+        return np.concatenate([
+            np.ravel(self.block(field, bid)) for field, bid, _ in layout(self.graph, self.dims)
+        ])
 
     def unpack(self, vector: np.ndarray) -> "HydroNetParams":
         """Inverse of :meth:`pack`; returns a new parameter container."""
-        k, d_x, t = self.dims.embedding, self.dims.channels, self.dims.window
-        pos = 0
+        blocks = layout(self.graph, self.dims)
+        ends = np.cumsum([math.prod(shape) for _, _, shape in blocks])
+        if len(vector) != ends[-1]:
+            raise HydroNetsError("shape-mismatch", f"vector has {len(vector)} entries, expected {ends[-1]}")
+        values = [
+            chunk.reshape(shape).copy() if shape else float(chunk[0])
+            for chunk, (_, _, shape) in zip(np.split(vector, ends[:-1]), blocks)
+        ]
+        return _from_blocks(self.graph, self.dims, blocks, values)
 
-        def take(shape: tuple[int, ...]) -> np.ndarray:
-            nonlocal pos
-            size = int(np.prod(shape))
-            out = vector[pos : pos + size].reshape(shape).copy()
-            pos += size
-            return out
 
-        shared_w = take((k, d_x + k))
-        shared_b = take((k,))
-        combiner_w: dict[str, np.ndarray] = {}
-        combiner_b: dict[str, np.ndarray] = {}
-        for bid in sorted(self.combiner_w):
-            n_src = len(self.graph.upstream[bid])
-            combiner_w[bid] = take((k, n_src * k))
-            combiner_b[bid] = take((k,))
-        head_w: dict[str, np.ndarray] = {}
-        head_b: dict[str, float] = {}
-        for bid in sorted(self.head_w):
-            head_w[bid] = take((t * k,))
-            head_b[bid] = float(take((1,))[0])
-        if pos != len(vector):
-            raise HydroNetsError("shape-mismatch", f"vector has {len(vector)} entries, expected {pos}")
-        return HydroNetParams(
-            graph=self.graph, dims=self.dims, shared_w=shared_w, shared_b=shared_b,
-            combiner_w=combiner_w, combiner_b=combiner_b, head_w=head_w, head_b=head_b,
-        )
+def _from_blocks(g: RegionGraph, dims: Dims, blocks: list[Block], values) -> HydroNetParams:
+    """Container holding ``values``, one per block of ``blocks``."""
+    fields: dict = {"combiner_w": {}, "combiner_b": {}, "head_w": {}, "head_b": {}}
+    for (field, bid, _), value in zip(blocks, values):
+        if bid is None:
+            fields[field] = value
+        else:
+            fields[field][bid] = value
+    return HydroNetParams(graph=g, dims=dims, **fields)
 
 
 @dataclass
@@ -138,31 +151,17 @@ class ForwardTrace:
 
 
 def init_hydronet(g: RegionGraph, dims: Dims, seed: int) -> HydroNetParams:
-    """Gaussian(0, 1/fan_in) weights, zero biases, deterministic per seed."""
+    """Gaussian(0, 1/fan_in) weights, zero biases, deterministic per seed.
+    Weight blocks draw from one generator in :func:`layout` order."""
     dims.check()
-    order = g.topo_order
-    k, d_x, t = dims.embedding, dims.channels, dims.window
     rng = np.random.default_rng(seed)
-
-    shared_w = rng.standard_normal((k, d_x + k)) / np.sqrt(d_x + k)
-    shared_b = np.zeros(k)
-    combiner_w: dict[str, np.ndarray] = {}
-    combiner_b: dict[str, np.ndarray] = {}
-    for bid in sorted(order):
-        n_src = len(g.upstream[bid])
-        if n_src:
-            combiner_w[bid] = rng.standard_normal((k, n_src * k)) / np.sqrt(n_src * k)
-            combiner_b[bid] = np.zeros(k)
-    head_w: dict[str, np.ndarray] = {}
-    head_b: dict[str, float] = {}
-    for bid in sorted(order):
-        head_w[bid] = rng.standard_normal(t * k) / np.sqrt(t * k)
-        head_b[bid] = 0.0
-
-    return HydroNetParams(
-        graph=g, dims=dims, shared_w=shared_w, shared_b=shared_b,
-        combiner_w=combiner_w, combiner_b=combiner_b, head_w=head_w, head_b=head_b,
-    )
+    blocks = layout(g, dims)
+    values = [
+        rng.standard_normal(shape) / np.sqrt(shape[-1]) if field.endswith("_w")
+        else (np.zeros(shape) if shape else 0.0)
+        for field, _, shape in blocks
+    ]
+    return _from_blocks(g, dims, blocks, values)
 
 
 def init_flat(g: RegionGraph, target: str, depth: int, dims: Dims, seed: int) -> FlatLinearParams:
@@ -258,14 +257,7 @@ def forward_flat(p: FlatLinearParams, ex: Example) -> float:
 
 def param_count(p: HydroNetParams | FlatLinearParams) -> int:
     """Exact number of learnable scalars."""
-    if isinstance(p, FlatLinearParams):
-        return len(p.weights) + 1
-    total = p.shared_w.size + p.shared_b.size
-    for bid in p.combiner_w:
-        total += p.combiner_w[bid].size + p.combiner_b[bid].size
-    for bid in p.head_w:
-        total += p.head_w[bid].size + 1
-    return int(total)
+    return len(p.pack())
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -312,36 +304,54 @@ def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
 
 def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams | FlatLinearParams:
     """Rebuild parameters from checkpoint text. Tree checkpoints need the
-    region graph and verify its fingerprint."""
+    region graph and verify its fingerprint; every block must have the
+    shape :func:`layout` gives for that graph and the checkpoint's dims."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise HydroNetsError("bad-checkpoint", f"invalid checkpoint JSON: {e.msg}") from e
     try:
         dims = Dims(**doc["dims"])
+        dims.check()
         if doc["kind"] == "linear":
-            return FlatLinearParams(
+            p = FlatLinearParams(
                 target=doc["target"],
                 included=tuple(doc["included"]),
                 dims=dims,
                 weights=np.array(doc["weights"], dtype=float),
                 bias=float(doc["bias"]),
             )
+            if p.weights.shape != (len(p.included) * dims.window * dims.channels,):
+                raise HydroNetsError("bad-checkpoint", f"weights have shape {p.weights.shape}")
+            return p
         if doc["kind"] != "hydronets":
             raise HydroNetsError("bad-checkpoint", f"unknown model kind {doc['kind']!r}")
         if g is None:
             raise HydroNetsError("missing-graph", "tree checkpoints need the region graph to load")
         if graph_fingerprint(g) != doc["graph_fingerprint"]:
             raise HydroNetsError("graph-mismatch", "checkpoint was trained on a different region graph")
-        return HydroNetParams(
+        blocks = layout(g, dims)
+        combiners, heads = doc["combiners"], doc["heads"]
+        if set(combiners) != {bid for field, bid, _ in blocks if field == "combiner_w"}:
+            raise HydroNetsError("bad-checkpoint", f"combiners for {sorted(combiners)} do not match the region")
+        if set(heads) != set(g.basin_ids):
+            raise HydroNetsError("bad-checkpoint", f"heads for {sorted(heads)} do not match the region")
+        p = HydroNetParams(
             graph=g,
             dims=dims,
             shared_w=np.array(doc["shared_w"], dtype=float),
             shared_b=np.array(doc["shared_b"], dtype=float),
-            combiner_w={bid: np.array(v["w"], dtype=float) for bid, v in doc["combiners"].items()},
-            combiner_b={bid: np.array(v["b"], dtype=float) for bid, v in doc["combiners"].items()},
-            head_w={bid: np.array(v["w"], dtype=float) for bid, v in doc["heads"].items()},
-            head_b={bid: float(v["b"]) for bid, v in doc["heads"].items()},
+            combiner_w={bid: np.array(v["w"], dtype=float) for bid, v in combiners.items()},
+            combiner_b={bid: np.array(v["b"], dtype=float) for bid, v in combiners.items()},
+            head_w={bid: np.array(v["w"], dtype=float) for bid, v in heads.items()},
+            head_b={bid: float(v["b"]) for bid, v in heads.items()},
         )
+        for field, bid, shape in blocks:
+            got = np.shape(p.block(field, bid))
+            if got != shape:
+                raise HydroNetsError("bad-checkpoint", f"block {field}/{bid} has shape {got}, want {shape}")
+        return p
     except KeyError as e:
         raise HydroNetsError("bad-checkpoint", f"checkpoint missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise HydroNetsError("bad-checkpoint", f"malformed checkpoint: {e}") from None

@@ -49,7 +49,8 @@ class RegionGraph:
 
     @cached_property
     def upstream(self) -> dict[str, tuple[str, ...]]:
-        """Basin id -> ids flowing directly into it, sorted ascending."""
+        """Basin id -> ids flowing directly into it, sorted ascending.
+        This is the canonical combiner input order."""
         ins: dict[str, list[str]] = {b.id: [] for b in self.basins}
         for src, dst in self.edges:
             if dst in ins:
@@ -250,14 +251,6 @@ def topological_order(g: RegionGraph) -> list[str]:
             if indeg[nxt] == 0:
                 heapq.heappush(heap, nxt)
     return order
-
-
-def sources_of(g: RegionGraph, basin_id: str) -> list[str]:
-    """Ids flowing directly into ``basin_id``, ascending. This is the
-    canonical combiner input order."""
-    if basin_id not in g:
-        raise HydroNetsError("unknown-basin", f"no basin {basin_id!r} in graph")
-    return list(g.upstream[basin_id])
 
 
 def drain_of(g: RegionGraph) -> str:

@@ -133,8 +133,12 @@ class TestTrainEvaluate:
     def test_bad_config_exits_two(self, tmp_path, capsys):
         f = tmp_path / "exp.json"
         f.write_text('{"bogus": 1}')
-        assert main(["train", "--config", str(f)]) == 2
-        assert "invalid-config" in capsys.readouterr().err
+        string_epochs = write_exp_config(
+            tmp_path / "typed.json", tmp_path / "run", train={"epochs": "3"}
+        )
+        for cfg_path in (str(f), string_epochs):
+            assert main(["train", "--config", cfg_path]) == 2
+            assert "invalid-config" in capsys.readouterr().err
 
 
 class TestExperimentCommands:

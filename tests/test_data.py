@@ -65,6 +65,14 @@ class TestLoadSeries:
         assert math.isnan(store.values["b1"][0, LEVEL])
         assert store.values["b1"][0, PRECIP] == 1.0
 
+    @pytest.mark.parametrize("literal", ["inf", "-inf", "nan", "NaN", "Infinity"])
+    @pytest.mark.parametrize("column", ["precip", "level"])
+    def test_non_finite_reading_rejected(self, chain2, literal, column):
+        row = f"0,b1,{literal},2.0" if column == "precip" else f"0,b1,1.0,{literal}"
+        text = f"timestamp,basin_id,precip,level\n{row}\n0,b2,1.0,2.0\n"
+        with pytest.raises(HydroNetsError, match="non-finite"):
+            load_series(text, chain2)
+
     def test_missing_rows_become_nan(self, chain2):
         # b2 has no row at all at t=0
         text = (

@@ -48,25 +48,11 @@ class TestEmit:
         table = ReportTable(rows=(
             ReportRow("depth=1", "b0", "linear", 0.008919174, 0.0, 3),
         ))
-        text = emit_report(table, "csv")
+        text = emit_report(table)
         assert text == "key,basin,model,mean,std,n_seeds\ndepth=1,b0,linear,0.008919,0.000000,3\n"
 
     def test_empty_table_header_only(self):
-        assert emit_report(ReportTable(rows=()), "csv") == "key,basin,model,mean,std,n_seeds\n"
-        assert emit_report(ReportTable(rows=()), "json") == "[]\n"
-
-    def test_json_round_trip(self):
-        table = ReportTable(rows=(
-            ReportRow("depth=1", "b0", "linear", 0.5, 0.01, 5),
-            ReportRow("depth=1", "b0", "hydronets", 0.625, 0.02, 5),
-        ))
-        doc = json.loads(emit_report(table, "json"))
-        assert doc[0]["model"] == "linear"
-        assert doc[1]["mean"] == pytest.approx(0.625)
-
-    def test_unknown_format(self):
-        with pytest.raises(HydroNetsError, match="invalid-config"):
-            emit_report(ReportTable(rows=()), "yaml")
+        assert emit_report(ReportTable(rows=())) == "key,basin,model,mean,std,n_seeds\n"
 
     def test_diff_uses_full_precision(self):
         # rounding the operands first would print 0.008920

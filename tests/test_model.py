@@ -1,5 +1,8 @@
 """Forward evaluation, parameter containers, and checkpoints."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,10 +323,33 @@ class TestCheckpoints:
             load_checkpoint(save_checkpoint(p))
 
     def test_bad_checkpoint(self, fork_graph):
-        with pytest.raises(HydroNetsError, match="bad-checkpoint"):
-            load_checkpoint("{broken", fork_graph)
-        with pytest.raises(HydroNetsError, match="bad-checkpoint"):
-            load_checkpoint('{"kind": "hydronets"}', fork_graph)
+        dims = Dims(window=2, embedding=2, horizon=1)
+        tree = json.loads(save_checkpoint(init_hydronet(fork_graph, dims, 0)))
+        flat = json.loads(save_checkpoint(init_flat(fork_graph, "b4", 2, dims, 0)))
+
+        def edited(doc, edit):
+            doc = copy.deepcopy(doc)
+            edit(doc)
+            return json.dumps(doc)
+
+        bad = [
+            "{broken",
+            '{"kind": "hydronets"}',
+            "[]",
+            edited(tree, lambda d: d["combiners"]["b3"].update(b=d["combiners"]["b3"]["b"][:1])),
+            edited(tree, lambda d: d.update(shared_w=d["shared_w"][:1])),
+            edited(tree, lambda d: d.update(shared_w=[[1.0, 2.0], [3.0]])),
+            edited(tree, lambda d: d["heads"].pop("b2")),
+            edited(tree, lambda d: d["heads"]["b2"].update(b=[0.0])),
+            edited(tree, lambda d: d["heads"]["b2"].update(w=d["heads"]["b2"]["w"][:-1])),
+            edited(tree, lambda d: d["combiners"].update(b1=d["combiners"]["b3"])),
+            edited(tree, lambda d: d["combiners"].pop("b4")),
+            edited(flat, lambda d: d.update(weights=d["weights"][:-1])),
+            edited(flat, lambda d: d.update(included=d["included"][:1])),
+        ]
+        for text in bad:
+            with pytest.raises(HydroNetsError, match="bad-checkpoint"):
+                load_checkpoint(text, fork_graph)
 
     def test_fingerprint_ignores_declaration_order(self, fork_graph):
         reordered = RegionGraph(basins=fork_graph.basins[::-1], edges=fork_graph.edges[::-1])

@@ -15,7 +15,6 @@ from hydronets.region import (
     height,
     parse_region,
     prune_to_depth,
-    sources_of,
     topological_order,
     validate,
 )
@@ -37,7 +36,7 @@ class TestParse:
         ))
         assert g.basin_ids == ("b1", "b2", "b3", "b4")
         assert drain_of(g) == "b4"
-        assert sources_of(g, "b3") == ["b1", "b2"]
+        assert g.upstream["b3"] == ("b1", "b2")
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(HydroNetsError, match="duplicate-id"):
@@ -183,13 +182,11 @@ class TestPrune:
 
 class TestQueries:
     def test_sources_sorted(self, fork_graph):
-        assert sources_of(fork_graph, "b4") == ["b3"]
-        assert sources_of(fork_graph, "b3") == ["b1", "b2"]
-        assert sources_of(fork_graph, "b1") == []
-
-    def test_sources_unknown_basin(self, fork_graph):
-        with pytest.raises(HydroNetsError, match="unknown-basin"):
-            sources_of(fork_graph, "zz")
+        reordered = RegionGraph(basins=fork_graph.basins, edges=fork_graph.edges[::-1])
+        for g in (fork_graph, reordered):
+            assert g.upstream["b4"] == ("b3",)
+            assert g.upstream["b3"] == ("b1", "b2")
+            assert g.upstream["b1"] == ()
 
     def test_height(self, fork_graph):
         assert height(fork_graph) == 3

@@ -5,6 +5,7 @@ import pytest
 
 from hydronets.data import generate_synthetic, prepare_datasets, SynthConfig
 from hydronets.errors import HydroNetsError
+from hydronets.region import drain_of
 from hydronets.model import (
     Dims,
     FlatLinearParams,
@@ -167,17 +168,26 @@ class TestFiniteDifference:
         assert grad.pack()[head_idx] == pytest.approx(d_head, rel=1e-12)
 
 
+def both_kinds(g, dims):
+    """(initial params, training entry point) for the tree model and for
+    the flat baseline at the drain; every loop test runs on each."""
+    return [
+        (init_hydronet(g, dims, 0), train),
+        (init_flat(g, drain_of(g), 2, dims, 0), train_flat),
+    ]
+
+
 class TestTrain:
-    def test_lr_zero_keeps_params(self, fork_graph):
+    def test_lr_zero_keeps_params(self):
         dims = Dims(window=3, embedding=2, horizon=1)
         g, store = generate_synthetic(SynthConfig(branching=2, height=2, n_steps=60, noise_std=0.1))
         train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
-        p = init_hydronet(g, dims, 0)
         cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=8, seed=0)
-        result = train(p, train_set, cfg)
-        assert np.array_equal(result.params.pack(), p.pack())
-        assert len(result.history) == 3
-        assert result.history[0] == result.history[-1]
+        for p, fit in both_kinds(g, dims):
+            result = fit(p, train_set, cfg)
+            assert np.array_equal(result.params.pack(), p.pack())
+            assert len(result.history) == 3
+            assert result.history[0] == result.history[-1]
 
     def test_deterministic(self):
         g, store = generate_synthetic(SynthConfig(branching=2, height=2, n_steps=80, noise_std=0.1))
@@ -193,21 +203,30 @@ class TestTrain:
         g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
         dims = Dims(window=3, embedding=2, horizon=1)
         train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
-        p = init_hydronet(g, dims, 0)
-        before = p.pack().copy()
-        train(p, train_set, TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=0))
-        assert np.array_equal(p.pack(), before)
+        for p, fit in both_kinds(g, dims):
+            before = p.pack().copy()
+            fit(p, train_set, TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=0))
+            assert np.array_equal(p.pack(), before)
 
     def test_divergence_reports_epoch(self):
         g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
         dims = Dims(window=3, embedding=2, horizon=1)
         train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
-        p = init_hydronet(g, dims, 0)
         cfg = TrainConfig(learning_rate=1e12, epochs=5, batch_size=8, seed=0, optimizer="sgd")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(HydroNetsError, match="diverged") as exc:
-                train(p, train_set, cfg)
-        assert "epoch" in str(exc.value)
+        for p, fit in both_kinds(g, dims):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(HydroNetsError, match="diverged") as exc:
+                    fit(p, train_set, cfg)
+            assert "epoch" in str(exc.value)
+
+    def test_empty_train_set(self):
+        g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
+        dims = Dims(window=3, embedding=2, horizon=1)
+        train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        empty = train_set.subset(np.arange(0))
+        for p, fit in both_kinds(g, dims):
+            with pytest.raises(HydroNetsError, match="empty-train"):
+                fit(p, empty, TrainConfig(epochs=1))
 
     def test_sgd_recurrence_flat(self):
         # one basin, one feature, one example: by hand,
