@@ -9,6 +9,7 @@ memory; the files are for poking at with the CLI.
 
 import argparse
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from hydronets.data import dump_series, generate_synthetic
@@ -27,7 +28,7 @@ def main():
         g, store = generate_synthetic(cfg)
         (out / "region.json").write_text(dump_region(g))
         (out / "series.csv").write_text(dump_series(store))
-        (out / "synth.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+        (out / "synth.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
         print(f"{name}: {len(g.basins)} basins, {store.n_steps} steps -> {out}")
 
 

@@ -31,8 +31,9 @@ def main():
         out_dir=args.out,
         synth=chain_fixture(),
         workers=args.workers,
+        basins=tuple(args.basins) if args.basins else None,
     )
-    _, comparison = run_all_basins(cfg, tuple(args.basins) if args.basins else None)
+    _, comparison = run_all_basins(cfg)
     print(f"{'basin':8s} {'linear':>9s} {'hydronets':>10s} {'diff':>9s}")
     for row in comparison:
         print(f"{row.basin:8s} {row.linear:9.4f} {row.hydronets:10.4f} {row.diff:+9.4f}")

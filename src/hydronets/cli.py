@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+import traceback
+from dataclasses import asdict, replace
 from pathlib import Path
 
+from .codec import from_doc, parse_json
 from .data import SynthConfig, dump_series, generate_synthetic, prepare_datasets
 from .errors import HydroNetsError
 from .experiments import (
@@ -46,7 +48,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     if args.config:
-        cfg = SynthConfig.from_dict(json.loads(Path(args.config).read_text()))
+        cfg = from_doc(SynthConfig, parse_json(Path(args.config).read_text()))
     else:
         cfg = SynthConfig()
     if args.seed is not None:
@@ -56,21 +58,26 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "region.json").write_text(dump_region(g))
     (out / "series.csv").write_text(dump_series(store))
-    (out / "synth.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    (out / "synth.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
     print(f"wrote {out / 'region.json'} and {out / 'series.csv'} ({store.n_steps} steps)")
     return 0
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The ``--config`` file with the command's flags put in place of the
+    fields they override: ``--seed`` replaces ``seeds``, and ``--basins``
+    and ``--sizes`` replace the config lists."""
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
-    if getattr(args, "metric", None):
-        cfg = replace(cfg, metric=args.metric)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "workers", None):
-        cfg = replace(cfg, workers=args.workers)
+    flags = vars(args)
+    overrides = {
+        "seeds": None if args.seed is None else (args.seed,),
+        "metric": args.metric,
+        "out_dir": args.out,
+        "workers": args.workers,
+        "basins": flags.get("basins") and tuple(flags["basins"]),
+        "sizes": flags.get("sizes") and tuple(flags["sizes"]),
+    }
+    cfg = replace(cfg, **{name: v for name, v in overrides.items() if v is not None})
     cfg.check()
     return cfg
 
@@ -133,17 +140,14 @@ def cmd_exp_depth(args: argparse.Namespace) -> int:
 
 def cmd_exp_basins(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    targets = tuple(args.basins) if args.basins else None
-    run_all_basins(cfg, targets)
+    run_all_basins(cfg)
     print(f"wrote {Path(cfg.out_dir) / 'report.csv'} and comparison.csv")
     return 0
 
 
 def cmd_exp_scarcity(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    counts = tuple(args.sizes) if args.sizes else None
-    basins = tuple(args.basins) if args.basins else None
-    run_scarcity(cfg, counts, basins)
+    run_scarcity(cfg)
     print(f"wrote {Path(cfg.out_dir) / 'report.csv'}")
     return 0
 
@@ -211,6 +215,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as e:
         print(e, file=sys.stderr)
+        return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal-error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

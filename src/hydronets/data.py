@@ -355,34 +355,10 @@ class SynthConfig:
             problems.append("burst_scale must be > 0")
         if self.noise_std < 0:
             problems.append("noise_std must be >= 0")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if problems:
             raise HydroNetsError("invalid-config", "; ".join(problems))
-
-    def to_dict(self) -> dict:
-        return {
-            "branching": self.branching,
-            "height": self.height,
-            "n_steps": self.n_steps,
-            "kernel_scale": list(self.kernel_scale),
-            "delay": list(self.delay),
-            "attenuation": list(self.attenuation),
-            "burst_rate": self.burst_rate,
-            "burst_scale": self.burst_scale,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "SynthConfig":
-        kwargs = dict(doc)
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise HydroNetsError("invalid-config", f"unknown synth fields: {sorted(unknown)}")
-        for key, cast in (("kernel_scale", float), ("delay", int), ("attenuation", float)):
-            if key in kwargs:
-                lo, hi = kwargs[key]
-                kwargs[key] = (cast(lo), cast(hi))
-        return cls(**kwargs)
 
 
 def runoff_kernel(scale: float) -> np.ndarray:

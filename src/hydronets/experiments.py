@@ -17,13 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
+from .codec import from_doc, parse_json
 from .data import (
     ExampleSet,
     NormStats,
@@ -46,16 +47,17 @@ METRICS = ("r2", "r2_persist")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything an experiment run needs, minus the runner-specific lists
-    (target basins, training sizes) which can also live here as defaults."""
+    """Everything an experiment run needs. Field names are the JSON keys
+    of a config file; ``basins`` and ``sizes`` are the runners' target
+    basins (all when unset) and training-set sizes."""
 
     dims: Dims
     train: TrainConfig = TrainConfig()
     seeds: tuple[int, ...] = tuple(range(10))
     metric: str = "r2_persist"
     out_dir: str = "runs"
-    region_path: str | None = None
-    series_path: str | None = None
+    region: str | None = None
+    series: str | None = None
     synth: SynthConfig | None = None
     train_frac: float = 0.8
     alpha: float = 0.9
@@ -67,15 +69,23 @@ class ExperimentConfig:
     def check(self) -> None:
         self.dims.check()
         self.train.check()
-        if not self.seeds:
-            raise HydroNetsError("invalid-config", "need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise HydroNetsError("invalid-config", "need at least one seed, all >= 0")
+        for name in ("seeds", "basins", "sizes"):
+            values = getattr(self, name) or ()
+            if len(set(values)) != len(values):
+                raise HydroNetsError("invalid-config", f"{name} lists a value twice: {list(values)}")
+        if self.sizes and min(self.sizes) < 1:
+            raise HydroNetsError("invalid-config", "sizes must be >= 1")
         if self.metric not in METRICS:
             raise HydroNetsError("invalid-config", f"metric must be one of {METRICS}")
-        from_files = self.region_path is not None and self.series_path is not None
+        from_files = self.region is not None and self.series is not None
         if from_files == (self.synth is not None):
             raise HydroNetsError(
                 "invalid-config", "give either region+series paths or a synth config, not both"
             )
+        if self.synth is not None:
+            self.synth.check()
         if not (0.0 < self.train_frac < 1.0):
             raise HydroNetsError("invalid-config", "train_frac must lie in (0, 1)")
         if not (0.0 < self.alpha <= 1.0):
@@ -85,97 +95,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise HydroNetsError("invalid-config", f"bad experiment config JSON: {e.msg}") from e
-        known = {
-            "dims", "train", "seeds", "metric", "out_dir", "region", "series",
-            "synth", "train_frac", "alpha", "flat_depth", "workers", "basins", "sizes",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise HydroNetsError("invalid-config", f"unknown config fields: {sorted(unknown)}")
-        if "dims" not in doc:
-            raise HydroNetsError("invalid-config", "config needs a dims section")
-        kwargs: dict = {"dims": _dims_from(doc["dims"])}
-        if "train" in doc:
-            kwargs["train"] = _train_from(doc["train"])
-        if "seeds" in doc:
-            kwargs["seeds"] = tuple(int(s) for s in doc["seeds"])
-        if "synth" in doc:
-            kwargs["synth"] = SynthConfig.from_dict(doc["synth"])
-        kwargs["region_path"] = doc.get("region")
-        kwargs["series_path"] = doc.get("series")
-        for key in ("metric", "out_dir", "train_frac", "alpha", "flat_depth", "workers"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        if "basins" in doc:
-            kwargs["basins"] = tuple(doc["basins"])
-        if "sizes" in doc:
-            kwargs["sizes"] = tuple(int(c) for c in doc["sizes"])
-        cfg = cls(**kwargs)
+        doc = parse_json(text)
+        if isinstance(doc, dict) and isinstance(doc.get("train"), dict) and "seed" in doc["train"]:
+            raise HydroNetsError("invalid-config", "train.seed is not read: runs take their seeds from seeds")
+        cfg = from_doc(cls, doc)
         cfg.check()
         return cfg
 
     def echo(self) -> dict:
         """Config as a manifest-ready dict: exactly the fields that determine
-        the run's numbers (so no out_dir and no worker count)."""
-        doc = {
-            "dims": {
-                "window": self.dims.window,
-                "embedding": self.dims.embedding,
-                "horizon": self.dims.horizon,
-                "channels": self.dims.channels,
-            },
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "optimizer": self.train.optimizer,
-                "beta1": self.train.beta1,
-                "beta2": self.train.beta2,
-                "eps": self.train.eps,
-            },
-            "seeds": list(self.seeds),
-            "metric": self.metric,
-            "train_frac": self.train_frac,
-            "alpha": self.alpha,
-            "flat_depth": self.flat_depth,
-        }
-        if self.synth is not None:
-            doc["synth"] = self.synth.to_dict()
-        else:
-            doc["region"] = self.region_path
-            doc["series"] = self.series_path
-        return doc
-
-
-def _dims_from(doc: Mapping) -> Dims:
-    unknown = set(doc) - {"window", "embedding", "horizon", "channels"}
-    if unknown:
-        raise HydroNetsError("invalid-config", f"unknown dims fields: {sorted(unknown)}")
-    try:
-        return Dims(**{k: int(v) for k, v in doc.items()})
-    except TypeError:
-        raise HydroNetsError("invalid-config", "dims needs window, embedding, and horizon") from None
-
-
-# JSON value types accepted for each annotated TrainConfig field type.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
-def _train_from(doc: Mapping) -> TrainConfig:
-    if not isinstance(doc, Mapping):
-        raise HydroNetsError("invalid-config", "train must be an object")
-    types = {f.name: f.type for f in fields(TrainConfig)}
-    unknown = set(doc) - set(types)
-    if unknown:
-        raise HydroNetsError("invalid-config", f"unknown train fields: {sorted(unknown)}")
-    for name, value in doc.items():
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[name]]):
-            raise HydroNetsError("invalid-config", f"train field {name!r} must be {types[name]}, got {value!r}")
-    return TrainConfig(**doc)
+        the run's numbers (so no out_dir, no worker count and no train.seed,
+        which ``seeds`` overrides). The runners record the basins and sizes
+        they used next to it."""
+        doc = asdict(self)
+        for name in ("out_dir", "workers", "basins", "sizes"):
+            del doc[name]
+        del doc["train"]["seed"]
+        return {name: value for name, value in doc.items() if value is not None}
 
 
 # --- report tables --------------------------------------------------------------
@@ -255,8 +191,8 @@ def load_inputs(cfg: ExperimentConfig) -> tuple[RegionGraph, SeriesStore, dict[s
         g, store = generate_synthetic(cfg.synth)
         region_text, series_text = dump_region(g), dump_series(store)
     else:
-        region_text = Path(cfg.region_path).read_text()
-        series_text = Path(cfg.series_path).read_text()
+        region_text = Path(cfg.region).read_text()
+        series_text = Path(cfg.series).read_text()
         g = parse_region(region_text)
         store = load_series(series_text, g)
     hashes = {
@@ -264,6 +200,15 @@ def load_inputs(cfg: ExperimentConfig) -> tuple[RegionGraph, SeriesStore, dict[s
         "series": hashlib.sha256(series_text.encode()).hexdigest(),
     }
     return g, store, hashes
+
+
+def _basins(cfg: ExperimentConfig, g: RegionGraph) -> tuple[str, ...]:
+    """The basins a runner reports on: ``cfg.basins``, all of ``g`` when unset."""
+    basins = cfg.basins or g.basin_ids
+    for bid in basins:
+        if bid not in g:
+            raise HydroNetsError("unknown-basin", f"basin {bid!r} not in region")
+    return tuple(basins)
 
 
 Data = tuple[ExampleSet, ExampleSet, NormStats]    # train set, test set, norm stats
@@ -391,10 +336,8 @@ def emit_diff_summary(diffs: list[float], bins: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_all_basins(
-    cfg: ExperimentConfig, targets: tuple[str, ...] | None = None
-) -> tuple[ReportTable, tuple[ComparisonRow, ...]]:
-    """Tree model vs flat baseline at each target basin.
+def run_all_basins(cfg: ExperimentConfig) -> tuple[ReportTable, tuple[ComparisonRow, ...]]:
+    """Tree model vs flat baseline at each of ``cfg.basins`` (all when unset).
 
     The tree model trains on the full region with the loss focused on the
     target (weight alpha there, the rest spread evenly); the flat baseline
@@ -402,10 +345,7 @@ def run_all_basins(
     """
     cfg.check()
     g, store, hashes = load_inputs(cfg)
-    targets = tuple(targets if targets is not None else (cfg.basins or g.basin_ids))
-    for bid in targets:
-        if bid not in g:
-            raise HydroNetsError("unknown-basin", f"target basin {bid!r} not in region")
+    targets = _basins(cfg, g)
 
     data = prepare_datasets(store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac)
     table = _run_grid(
@@ -430,12 +370,9 @@ def run_all_basins(
     return table, comparison
 
 
-def run_scarcity(
-    cfg: ExperimentConfig,
-    counts: tuple[int, ...] | None = None,
-    basins: tuple[str, ...] | None = None,
-) -> ReportTable:
-    """Both model kinds per basin as the training set shrinks.
+def run_scarcity(cfg: ExperimentConfig) -> ReportTable:
+    """Both model kinds at each of ``cfg.basins`` (all when unset) as the
+    training set shrinks through ``cfg.sizes``.
 
     For each count c the training set is cut to its most recent c examples;
     the test tail never changes. The tree model trains once per (c, seed)
@@ -444,13 +381,10 @@ def run_scarcity(
     """
     cfg.check()
     g, store, hashes = load_inputs(cfg)
-    counts = tuple(counts if counts is not None else (cfg.sizes or ()))
+    counts = cfg.sizes
     if not counts:
         raise HydroNetsError("invalid-config", "scarcity run needs training sizes")
-    basins = tuple(basins if basins is not None else (cfg.basins or g.basin_ids))
-    for bid in basins:
-        if bid not in g:
-            raise HydroNetsError("unknown-basin", f"basin {bid!r} not in region")
+    basins = _basins(cfg, g)
 
     train_full, test_set, stats = prepare_datasets(
         store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac

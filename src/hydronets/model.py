@@ -17,11 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
+from .codec import from_doc
 from .data import Example
 from .errors import HydroNetsError
 from .region import RegionGraph, prune_to_depth, topological_order
@@ -39,7 +40,7 @@ class Dims:
 
     def check(self) -> None:
         if min(self.window, self.embedding, self.horizon, self.channels) < 1:
-            raise HydroNetsError("invalid-dims", f"all dims must be >= 1: {self}")
+            raise HydroNetsError("invalid-config", f"all dims must be >= 1: {self}")
 
 
 Block = tuple[str, str | None, tuple[int, ...]]
@@ -268,16 +269,12 @@ def graph_fingerprint(g: RegionGraph) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _dims_doc(d: Dims) -> dict:
-    return {"window": d.window, "embedding": d.embedding, "horizon": d.horizon, "channels": d.channels}
-
-
 def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
     """Serialize parameters to JSON text; floats round-trip bit-exactly."""
     if isinstance(p, FlatLinearParams):
         doc = {
             "kind": "linear",
-            "dims": _dims_doc(p.dims),
+            "dims": asdict(p.dims),
             "target": p.target,
             "included": list(p.included),
             "weights": p.weights.tolist(),
@@ -286,7 +283,7 @@ def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
     else:
         doc = {
             "kind": "hydronets",
-            "dims": _dims_doc(p.dims),
+            "dims": asdict(p.dims),
             "graph_fingerprint": graph_fingerprint(p.graph),
             "shared_w": p.shared_w.tolist(),
             "shared_b": p.shared_b.tolist(),
@@ -308,11 +305,14 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
     shape :func:`layout` gives for that graph and the checkpoint's dims."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise HydroNetsError("bad-checkpoint", f"invalid checkpoint JSON: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # also an integer too long to parse, or nesting too deep
+        raise HydroNetsError("bad-checkpoint", f"invalid checkpoint JSON: {e}") from None
     try:
-        dims = Dims(**doc["dims"])
-        dims.check()
+        try:
+            dims = from_doc(Dims, doc["dims"], "dims")
+            dims.check()
+        except HydroNetsError as e:
+            raise HydroNetsError("bad-checkpoint", str(e)) from None
         if doc["kind"] == "linear":
             p = FlatLinearParams(
                 target=doc["target"],

@@ -72,6 +72,8 @@ class TrainConfig:
     def check(self) -> None:
         if self.learning_rate < 0 or self.epochs < 1 or self.batch_size < 1:
             raise HydroNetsError("invalid-config", f"bad training config: {self}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
+            raise HydroNetsError("invalid-config", f"need 0 <= beta1, beta2 < 1 and eps > 0: {self}")
         if self.optimizer not in ("adam", "sgd"):
             raise HydroNetsError("invalid-config", f"unknown optimizer {self.optimizer!r}")
 

@@ -1,11 +1,13 @@
 """End-to-end command-line checks, run in process through main()."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hydronets.cli
 from hydronets.cli import main
 from hydronets.data import SynthConfig, load_series
 from hydronets.model import init_hydronet, load_checkpoint, Dims
@@ -19,11 +21,59 @@ def write_exp_config(path, out_dir, **overrides):
         "seeds": [0],
         "metric": "r2_persist",
         "out_dir": str(out_dir),
-        "synth": SynthConfig(branching=2, height=2, n_steps=160, noise_std=0.05, seed=3).to_dict(),
+        "synth": asdict(SynthConfig(branching=2, height=2, n_steps=160, noise_std=0.05, seed=3)),
     }
     doc.update(overrides)
     Path(path).write_text(json.dumps(doc))
     return str(path)
+
+
+DIMS = {"window": 4, "embedding": 2, "horizon": 1}
+SYNTH = asdict(SynthConfig(branching=2, height=2, n_steps=160, noise_std=0.05, seed=3))
+
+# Config overrides that must each exit 2 with invalid-config.
+BAD_CONFIGS = [
+    {"train": {"epochs": "3"}},
+    {"seeds": ["a"]},
+    {"seeds": 5},
+    {"seeds": [0.7]},
+    {"seeds": [-1]},
+    {"seeds": [0, 0]},
+    {"sizes": ["x"]},
+    {"sizes": [30, 30]},
+    {"sizes": [0]},
+    {"basins": "b0"},
+    {"basins": ["b0", "b0"]},
+    {"train_frac": "0.5"},
+    {"workers": "2"},
+    {"alpha": None},
+    {"flat_depth": 1.5},
+    {"dims": {**DIMS, "window": "x"}},
+    {"dims": {**DIMS, "window": "24"}},
+    {"dims": {**DIMS, "embedding": 2.9}},
+    {"dims": {**DIMS, "horizon": True}},
+    {"dims": {**DIMS, "window": 0}},
+    {"dims": {"window": 4}},
+    {"train": {"learning_rate": float("nan")}},
+    {"train": {"seed": 99}},
+    {"train": {"beta1": 1.0}},
+    {"train": {"beta2": 1.0}},
+    {"train": {"eps": 0.0}},
+    {"synth": {**SYNTH, "noise_std": float("nan")}},
+    {"synth": {**SYNTH, "delay": [1]}},
+]
+
+
+class TestMain:
+    def test_unexpected_error_is_internal_error(self, monkeypatch, capsys):
+        def fail(args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(hydronets.cli, "cmd_validate", fail)
+        assert main(["validate", "region.json"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.rstrip().endswith("internal-error: ZeroDivisionError: boom")
 
 
 class TestValidate:
@@ -62,10 +112,24 @@ class TestGenSynth:
         for name in ("region.json", "series.csv", "synth.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_bad_config_exits_two(self, tmp_path, capsys):
+        texts = ["{broken", "[1]", "1" * 5000] + [
+            json.dumps({**asdict(SynthConfig(n_steps=50)), **edit})
+            for edit in ({"branching": "2"}, {"delay": [1]}, {"noise_std": float("nan")}, {"bogus": 1})
+        ]
+        for i, text in enumerate(texts):
+            f = tmp_path / f"synth{i}.json"
+            f.write_text(text)
+            assert main(["gen-synth", "--config", str(f), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "invalid-config" in err and "Traceback" not in err
+        assert main(["gen-synth", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "invalid-config" in capsys.readouterr().err
+
     def test_config_file(self, tmp_path):
         cfg = SynthConfig(branching=1, height=3, n_steps=50, burst_rate=0.0)
         f = tmp_path / "synth.json"
-        f.write_text(json.dumps(cfg.to_dict()))
+        f.write_text(json.dumps(asdict(cfg)))
         out = tmp_path / "data"
         assert main(["gen-synth", "--config", str(f), "--out", str(out)]) == 0
         g = parse_region((out / "region.json").read_text())
@@ -103,7 +167,7 @@ class TestTrainEvaluate:
         main(["train", "--config", cfg_path])
         lines = (tmp_path / "run" / "history.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,loss"
-        assert len(lines) == 3  # init loss plus one per epoch
+        assert len(lines) == 3  # header plus one row per epoch
 
     def test_linear_model(self, tmp_path, capsys):
         cfg_path = write_exp_config(tmp_path / "exp.json", tmp_path / "run")
@@ -133,12 +197,21 @@ class TestTrainEvaluate:
     def test_bad_config_exits_two(self, tmp_path, capsys):
         f = tmp_path / "exp.json"
         f.write_text('{"bogus": 1}')
-        string_epochs = write_exp_config(
-            tmp_path / "typed.json", tmp_path / "run", train={"epochs": "3"}
-        )
-        for cfg_path in (str(f), string_epochs):
-            assert main(["train", "--config", cfg_path]) == 2
-            assert "invalid-config" in capsys.readouterr().err
+        argvs = [["train", "--config", str(f)]] + [
+            ["train", "--config", write_exp_config(tmp_path / f"bad{i}.json", tmp_path / "run", **edit)]
+            for i, edit in enumerate(BAD_CONFIGS)
+        ]
+        good = write_exp_config(tmp_path / "good.json", tmp_path / "run")
+        argvs += [
+            ["train", "--config", good, "--seed", "-1"],
+            ["exp-depth", "--config", good, "--workers", "0"],
+            ["exp-basins", "--config", good, "--basins", "b0", "b0"],
+            ["exp-scarcity", "--config", good, "--sizes", "30", "30"],
+        ]
+        for argv in argvs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "invalid-config" in err and "Traceback" not in err, (argv, err)
 
 
 class TestExperimentCommands:

@@ -1,12 +1,15 @@
 """Series ingestion, normalization, windowing, and the synthetic generator."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydronets.codec import from_doc
 from hydronets.data import (
     LEVEL,
     PRECIP,
@@ -340,7 +343,7 @@ class TestSynthetic:
 
     def test_config_round_trip(self):
         cfg = SynthConfig(branching=3, height=2, n_steps=77, noise_std=0.25, seed=42)
-        assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_doc(SynthConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestPrepareDatasets:

@@ -1,7 +1,7 @@
 """Experiment runners, report emission, and reproducibility."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +83,7 @@ class TestConfig:
             "seeds": [0, 1],
             "metric": "r2",
             "out_dir": str(tmp_path),
-            "synth": SynthConfig(branching=2, height=2, n_steps=160).to_dict(),
+            "synth": asdict(SynthConfig(branching=2, height=2, n_steps=160)),
             "sizes": [50, 100],
         }
         cfg = ExperimentConfig.from_json(json.dumps(doc))
@@ -98,8 +98,8 @@ class TestConfig:
             "series": "data/series.csv",
         }
         cfg = ExperimentConfig.from_json(json.dumps(doc))
-        assert cfg.region_path == "data/region.json"
-        assert cfg.series_path == "data/series.csv"
+        assert cfg.region == "data/region.json"
+        assert cfg.series == "data/series.csv"
         assert cfg.synth is None
 
     def test_unknown_field_rejected(self):
@@ -110,7 +110,7 @@ class TestConfig:
         cfg = tiny_config(tmp_path, synth=None)
         with pytest.raises(HydroNetsError, match="invalid-config"):
             cfg.check()
-        both = tiny_config(tmp_path, region_path="r.json", series_path="s.csv")
+        both = tiny_config(tmp_path, region="r.json", series="s.csv")
         with pytest.raises(HydroNetsError, match="invalid-config"):
             both.check()
 
@@ -129,8 +129,8 @@ class TestConfig:
         (tmp_path / "series.csv").write_text(make_series_text(fork_graph, 30))
         cfg = tiny_config(
             tmp_path, synth=None,
-            region_path=str(tmp_path / "region.json"),
-            series_path=str(tmp_path / "series.csv"),
+            region=str(tmp_path / "region.json"),
+            series=str(tmp_path / "series.csv"),
         )
         g, store, hashes = load_inputs(cfg)
         assert g == fork_graph
@@ -189,7 +189,7 @@ class TestDepthRunner:
 class TestAllBasinsRunner:
     def test_comparison_columns(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        table, comparison = run_all_basins(cfg, targets=("b0", "b1"))
+        table, comparison = run_all_basins(replace(cfg, basins=("b0", "b1")))
         assert len(table.rows) == 4
         assert len(comparison) == 2
         text = (Path(cfg.out_dir) / "comparison.csv").read_text()
@@ -198,13 +198,13 @@ class TestAllBasinsRunner:
 
     def test_diff_is_hydronets_minus_linear(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        _, comparison = run_all_basins(cfg, targets=("b0",))
+        _, comparison = run_all_basins(replace(cfg, basins=("b0",)))
         row = comparison[0]
         assert row.diff == pytest.approx(row.hydronets - row.linear, rel=1e-15)
 
     def test_unknown_target(self, tmp_path):
         with pytest.raises(HydroNetsError, match="unknown-basin"):
-            run_all_basins(tiny_config(tmp_path), targets=("nope",))
+            run_all_basins(tiny_config(tmp_path, basins=("nope",)))
 
     def test_defaults_to_all_basins(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -216,7 +216,7 @@ class TestAllBasinsRunner:
 class TestScarcityRunner:
     def test_row_structure(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        table = run_scarcity(cfg, counts=(30, 60), basins=("b0",))
+        table = run_scarcity(replace(cfg, sizes=(30, 60), basins=("b0",)))
         # |counts| * |basins| * 2 kinds
         assert len(table.rows) == 4
         assert {r.key for r in table.rows} == {"train=30", "train=60"}
@@ -233,7 +233,7 @@ class TestScarcityRunner:
             store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac
         )
         n = len(train_full)
-        table = run_scarcity(cfg, counts=(n,), basins=("b0",))
+        table = run_scarcity(replace(cfg, sizes=(n,), basins=("b0",)))
 
         p = init_hydronet(g, cfg.dims, 5)
         res = train(p, train_full, replace(cfg.train, seed=5))
@@ -243,7 +243,7 @@ class TestScarcityRunner:
 
     def test_count_beyond_available_rejected(self, tmp_path):
         with pytest.raises(HydroNetsError, match="invalid-config"):
-            run_scarcity(tiny_config(tmp_path), counts=(10_000,), basins=("b0",))
+            run_scarcity(tiny_config(tmp_path, sizes=(10_000,), basins=("b0",)))
 
     def test_needs_sizes(self, tmp_path):
         with pytest.raises(HydroNetsError, match="invalid-config"):
@@ -260,7 +260,7 @@ class TestScarcityRunner:
     def test_parallel_equals_serial(self, tmp_path):
         serial = tiny_config(tmp_path, out_dir=str(tmp_path / "s"), workers=1)
         parallel = tiny_config(tmp_path, out_dir=str(tmp_path / "p"), workers=3)
-        run_scarcity(serial, counts=(30, 60), basins=("b0", "b1"))
-        run_scarcity(parallel, counts=(30, 60), basins=("b0", "b1"))
+        run_scarcity(replace(serial, sizes=(30, 60), basins=("b0", "b1")))
+        run_scarcity(replace(parallel, sizes=(30, 60), basins=("b0", "b1")))
         for name in ("report.csv", "seeds.csv"):
             assert (Path(serial.out_dir) / name).read_bytes() == (Path(parallel.out_dir) / name).read_bytes()

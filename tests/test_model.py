@@ -346,6 +346,11 @@ class TestCheckpoints:
             edited(tree, lambda d: d["combiners"].pop("b4")),
             edited(flat, lambda d: d.update(weights=d["weights"][:-1])),
             edited(flat, lambda d: d.update(included=d["included"][:1])),
+            edited(tree, lambda d: d["dims"].update(window=2.0)),
+            edited(flat, lambda d: d["dims"].update(embedding="2")),
+            edited(tree, lambda d: d["dims"].update(window=0)),
+            edited(tree, lambda d: d["dims"].update(extra=1)),
+            '{"kind": "linear", "dims": ' + "1" * 5000 + "}",
         ]
         for text in bad:
             with pytest.raises(HydroNetsError, match="bad-checkpoint"):
