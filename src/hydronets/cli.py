@@ -15,7 +15,7 @@ import traceback
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .codec import from_doc, parse_json
+from .codec import from_doc, parse_json, read_input
 from .data import SynthConfig, dump_series, generate_synthetic, prepare_datasets
 from .errors import HydroNetsError
 from .experiments import (
@@ -33,7 +33,7 @@ from .training import LossWeights, train, train_flat
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        g = parse_region(Path(args.region).read_text())
+        g = parse_region(read_input(args.region, "syntax-error"))
     except HydroNetsError as e:
         print(e)
         return 1
@@ -48,7 +48,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     if args.config:
-        cfg = from_doc(SynthConfig, parse_json(Path(args.config).read_text()))
+        text = read_input(args.config, "invalid-config")
+        cfg = from_doc(SynthConfig, parse_json(text, "invalid-config"))
     else:
         cfg = SynthConfig()
     if args.seed is not None:
@@ -67,7 +68,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The ``--config`` file with the command's flags put in place of the
     fields they override: ``--seed`` replaces ``seeds``, and ``--basins``
     and ``--sizes`` replace the config lists."""
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    cfg = ExperimentConfig.from_json(read_input(args.config, "invalid-config"))
     flags = vars(args)
     overrides = {
         "seeds": None if args.seed is None else (args.seed,),
@@ -120,7 +121,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _, test_set, stats = prepare_datasets(
         store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac
     )
-    params = load_checkpoint(Path(args.checkpoint).read_text(), g)
+    params = load_checkpoint(read_input(args.checkpoint, "bad-checkpoint"), g)
     report = evaluate(params, test_set, stats)
     text = report.to_csv()
     print(text, end="")

@@ -8,6 +8,10 @@ also takes ``null``, ``int`` takes a JSON integer but not a boolean,
 ``float`` takes any finite JSON number and stores it as a float, and
 ``str`` takes a string. Unknown fields, missing required fields and
 values of the wrong type raise ``invalid-config`` naming the field path.
+
+:func:`read_input` and :func:`parse_json` are the one guard every input
+file passes through: undecodable bytes and malformed JSON fail with the
+error code of the file's kind.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import sys
 import types
 from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .errors import HydroNetsError
@@ -23,12 +28,21 @@ from .errors import HydroNetsError
 _SCALARS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def parse_json(text: str) -> Any:
-    """Parse config text, reporting malformed JSON as ``invalid-config``."""
+def read_input(path: str | Path, code: str) -> str:
+    """Text of input file ``path``; bytes that are not UTF-8 raise ``code``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise HydroNetsError(code, f"{path} is not UTF-8 text: {e}") from None
+
+
+def parse_json(text: str, code: str) -> Any:
+    """Parse JSON input text, reporting malformed JSON, integers too long
+    to parse and nesting too deep as ``code``."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as e:  # also an integer too long to parse, or nesting too deep
-        raise HydroNetsError("invalid-config", f"bad config JSON: {e}") from None
+    except (ValueError, RecursionError) as e:
+        raise HydroNetsError(code, f"invalid JSON: {e}") from None
 
 
 def from_doc(cls: type, doc: Any, path: str = "") -> Any:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import from_doc, parse_json
+from .codec import from_doc, parse_json, read_input
 from .data import (
     ExampleSet,
     NormStats,
@@ -95,7 +95,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        doc = parse_json(text)
+        doc = parse_json(text, "invalid-config")
         if isinstance(doc, dict) and isinstance(doc.get("train"), dict) and "seed" in doc["train"]:
             raise HydroNetsError("invalid-config", "train.seed is not read: runs take their seeds from seeds")
         cfg = from_doc(cls, doc)
@@ -191,8 +191,8 @@ def load_inputs(cfg: ExperimentConfig) -> tuple[RegionGraph, SeriesStore, dict[s
         g, store = generate_synthetic(cfg.synth)
         region_text, series_text = dump_region(g), dump_series(store)
     else:
-        region_text = Path(cfg.region).read_text()
-        series_text = Path(cfg.series).read_text()
+        region_text = read_input(cfg.region, "syntax-error")
+        series_text = read_input(cfg.series, "syntax-error")
         g = parse_region(region_text)
         store = load_series(series_text, g)
     hashes = {

@@ -8,6 +8,13 @@ prediction head reduces the embedding window to the scalar forecast.
 Region sources have no combiner: their combined input is zero, which keeps
 the shared model's input width uniform.
 
+:func:`forward_batch` evaluates that structure at every step of every
+window. Since all three sub-models are affine, each forecast is also an
+affine filter over the windows of the basins that drain into its basin;
+:func:`fold` reads those :class:`Filters` off one :func:`forward_batch`
+over the unit-impulse :func:`probe_batch`, and :func:`predict` applies
+them with one matmul per input basin.
+
 The flat baseline ignores the tree and regresses the forecast on the
 concatenated feature windows of a basin subtree.
 """
@@ -22,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .codec import from_doc
+from .codec import from_doc, parse_json
 from .data import Example
 from .errors import HydroNetsError
 from .region import RegionGraph, prune_to_depth, topological_order
@@ -177,7 +184,9 @@ def init_flat(g: RegionGraph, target: str, depth: int, dims: Dims, seed: int) ->
     )
 
 
-def _check_features(p: HydroNetParams, features: Mapping[str, np.ndarray]) -> int:
+def check_features(p: HydroNetParams, features: Mapping[str, np.ndarray]) -> int:
+    """Batch size of ``features``, which must hold a (B, T, d_x) array
+    for every basin of ``p``'s graph."""
     t, d_x = p.dims.window, p.dims.channels
     batch = None
     for bid in p.graph.basin_ids:
@@ -201,7 +210,7 @@ def forward_batch(
     Returns (combined, embeddings, preds) keyed by basin in topological
     order, shapes (B, T, K), (B, T, K), (B,).
     """
-    batch = _check_features(p, features)
+    batch = check_features(p, features)
     t, k = p.dims.window, p.dims.embedding
     combined: dict[str, np.ndarray] = {}
     embeddings: dict[str, np.ndarray] = {}
@@ -219,6 +228,93 @@ def forward_batch(
         embeddings[bid] = e
         preds[bid] = e.reshape(batch, t * k) @ p.head_w[bid] + p.head_b[bid]
     return combined, embeddings, preds
+
+
+def probe_batch(g: RegionGraph, dims: Dims) -> dict[str, np.ndarray]:
+    """Unit-impulse input for :func:`fold`, shaped like a batch of
+    ``ceil((1 + n * d_x) / T)`` examples for the ``n`` basins of ``g``.
+
+    The shared map and the combiners act on each step alone, so every
+    (example, step) slot ``s = example * T + step`` is its own probe. Slot
+    0 is all zeros; slot ``1 + m * d_x + c`` holds a 1 in channel ``c`` of
+    the ``m``-th basin of ``g.basin_ids``; later slots are zero padding.
+    """
+    n, t, d_x = len(g.basin_ids), dims.window, dims.channels
+    slots = -(-(1 + n * d_x) // t) * t
+    probe = np.zeros((n, slots, d_x))
+    probe[np.repeat(np.arange(n), d_x), 1 + np.arange(n * d_x), np.tile(np.arange(d_x), n)] = 1.0
+    return {bid: probe[m].reshape(-1, t, d_x) for m, bid in enumerate(g.basin_ids)}
+
+
+@dataclass(frozen=True)
+class Filters:
+    """The tree folded into one affine filter per basin.
+
+    Basins are indexed ``i`` (the forecast) and ``m`` (an input) in
+    ``basin_ids`` order, and ``n`` is the number of basins. ``zero[i]`` is
+    basin i's embedding when every input is zero; row ``m * d_x + c`` of
+    ``response[i]`` is how much it moves per unit of basin m's channel c at
+    the same step, exactly zero unless m drains into i (``inside``).
+    ``weights[m, :, i]`` maps basin m's flattened (T * d_x) window to basin
+    i's forecast, which is ``sum_m x_m @ weights[m, :, i] + bias[i]``.
+    """
+
+    basin_ids: tuple[str, ...]
+    zero: np.ndarray                       # (n, K)
+    response: np.ndarray                   # (n, n * d_x, K)
+    inside: np.ndarray                     # (n, n * d_x, 1) bool
+    heads: np.ndarray                      # (n, T, K): head_w[i] reshaped
+    weights: np.ndarray                    # (n, T * d_x, n)
+    bias: np.ndarray                       # (n,)
+
+    def apply(self, features: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Forecasts (B, n) for ``features[basin]`` of shape (B, T, d_x),
+        accumulated one input basin at a time: no (B, n * T * d_x) design
+        matrix is built."""
+        width = self.weights.shape[1]
+        out = np.zeros((len(features[self.basin_ids[0]]), len(self.basin_ids)))
+        for m, bid in enumerate(self.basin_ids):
+            x = features[bid]
+            out += x.reshape(len(x), width) @ self.weights[m]
+        out += self.bias
+        return out
+
+
+def _inside(g: RegionGraph, channels: int) -> np.ndarray:
+    """(n, n * channels, 1) mask: row ``m * channels + c`` of basin i is
+    set when basin m drains into i or is i."""
+    index = {bid: i for i, bid in enumerate(g.basin_ids)}
+    mask = np.eye(len(index), dtype=bool)
+    for bid in g.topo_order:
+        for j in g.upstream[bid]:
+            mask[index[bid]] |= mask[index[j]]
+    return np.repeat(mask, channels, axis=1)[:, :, None]
+
+
+def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> Filters:
+    """Per-basin filters from the embeddings :func:`forward_batch` gives
+    on :func:`probe_batch`. Exact, because every sub-model is affine."""
+    ids = p.graph.basin_ids
+    n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
+    e = np.stack([embeddings[bid].reshape(-1, k) for bid in ids])        # (n, slots, K)
+    zero = e[:, 0]
+    inside = _inside(p.graph, d_x)
+    response = np.where(inside, e[:, 1 : 1 + n * d_x] - zero[:, None], 0.0)
+    heads = np.stack([p.head_w[bid].reshape(t, k) for bid in ids])
+    per_step = heads @ response.transpose(0, 2, 1)                       # (n_i, T, n_m * d_x)
+    weights = per_step.reshape(n, t, n, d_x).transpose(2, 1, 3, 0).reshape(n, t * d_x, n)
+    bias = np.sum(heads.sum(axis=1) * zero, axis=1) + np.array([p.head_b[bid] for bid in ids])
+    return Filters(ids, zero, response, inside, heads, weights, bias)
+
+
+def predict(p: HydroNetParams, features: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every basin's forecast, keyed by basin, through the folded filters:
+    the same numbers as :func:`forward_batch`'s up to rounding, without
+    evaluating the tree at every step of every window."""
+    check_features(p, features)
+    embeddings = forward_batch(p, probe_batch(p.graph, p.dims))[1]
+    preds = fold(p, embeddings).apply(features)
+    return dict(zip(p.graph.basin_ids, preds.T))
 
 
 def forward_hydronet(p: HydroNetParams, ex: Example) -> ForwardTrace:
@@ -302,11 +398,9 @@ def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
 def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams | FlatLinearParams:
     """Rebuild parameters from checkpoint text. Tree checkpoints need the
     region graph and verify its fingerprint; every block must have the
-    shape :func:`layout` gives for that graph and the checkpoint's dims."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # also an integer too long to parse, or nesting too deep
-        raise HydroNetsError("bad-checkpoint", f"invalid checkpoint JSON: {e}") from None
+    shape :func:`layout` gives for that graph and the checkpoint's dims,
+    and every parameter must be finite."""
+    doc = parse_json(text, "bad-checkpoint")
     try:
         try:
             dims = from_doc(Dims, doc["dims"], "dims")
@@ -323,6 +417,8 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
             )
             if p.weights.shape != (len(p.included) * dims.window * dims.channels,):
                 raise HydroNetsError("bad-checkpoint", f"weights have shape {p.weights.shape}")
+            if not np.all(np.isfinite(p.pack())):
+                raise HydroNetsError("bad-checkpoint", "weights or bias are not finite")
             return p
         if doc["kind"] != "hydronets":
             raise HydroNetsError("bad-checkpoint", f"unknown model kind {doc['kind']!r}")
@@ -350,8 +446,10 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
             got = np.shape(p.block(field, bid))
             if got != shape:
                 raise HydroNetsError("bad-checkpoint", f"block {field}/{bid} has shape {got}, want {shape}")
+            if not np.all(np.isfinite(p.block(field, bid))):
+                raise HydroNetsError("bad-checkpoint", f"block {field}/{bid} is not finite")
         return p
     except KeyError as e:
         raise HydroNetsError("bad-checkpoint", f"checkpoint missing field {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # overflow: an integer beyond any float
         raise HydroNetsError("bad-checkpoint", f"malformed checkpoint: {e}") from None

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .codec import parse_json
 from .errors import HydroNetsError
 
 
@@ -101,12 +102,7 @@ def parse_region(text: str) -> RegionGraph:
     :func:`validate`, not here. Raises on malformed syntax, duplicate ids,
     edges naming unknown basins, unknown fields, and empty basin lists.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise HydroNetsError(
-            "syntax-error", f"invalid region file at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from e
+    doc = parse_json(text, "syntax-error")
     if not isinstance(doc, dict):
         raise HydroNetsError("syntax-error", "region file must be a JSON object")
     unknown = set(doc) - _REGION_KEYS
@@ -140,7 +136,10 @@ def parse_region(text: str) -> RegionGraph:
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in static
             ):
                 raise HydroNetsError("syntax-error", f"basin {bid!r} 'static' must be a number array")
-            static = tuple(float(v) for v in static)
+            try:
+                static = tuple(float(v) for v in static)
+            except OverflowError:
+                raise HydroNetsError("syntax-error", f"basin {bid!r} 'static' has a number too large") from None
         basins.append(Basin(id=bid, name=name, static_features=static))
 
     edges: list[tuple[str, str]] = []

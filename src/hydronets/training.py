@@ -1,10 +1,14 @@
 """Loss, analytic gradients, and the training loop.
 
-Gradients for the tree model are computed by hand with reverse-mode
-accumulation over the region graph: basins are processed drain-first so
-each basin's embedding gradient already includes the contribution routed
-back through every downstream combiner. The flat baseline is ordinary
-linear least squares machinery.
+Gradients for the tree model are computed by hand in two stages. The
+batch meets the model only through the folded per-basin filters
+(:func:`~hydronets.model.fold`): forecasts, and the gradient with respect
+to each filter, are matmuls against the real windows. The filter
+gradient then seeds reverse-mode accumulation over the region graph on
+the small probe batch the filters were read from: basins are processed
+drain-first so each basin's embedding gradient already includes the
+contribution routed back through every downstream combiner. The flat
+baseline is ordinary linear least squares machinery.
 
 Both model kinds train in one minibatch loop on the packed parameter
 vector; :func:`train` and :func:`train_flat` only supply its batch loss
@@ -23,10 +27,14 @@ from .errors import HydroNetsError
 from .model import (
     FlatLinearParams,
     HydroNetParams,
+    check_features,
     flat_design_matrix,
+    fold,
     forward_batch,
     forward_flat_batch,
     param_count,
+    predict,
+    probe_batch,
 )
 
 
@@ -97,42 +105,63 @@ def backward_hydronet(
 ) -> tuple[float, HydroNetParams]:
     """Loss and analytic gradient for one batch.
 
+    The batch's forecasts and the gradient with respect to each basin's
+    folded filter come from matmuls against the real windows; the tree
+    itself is evaluated, and swept in reverse, only on the probe batch.
     The gradient is returned in a parameter-shaped container so it packs
     with the same layout as the parameters themselves.
     """
-    combined, embeddings, preds = forward_batch(p, features)
-    loss = weighted_mse_loss(preds, labels, w)
+    batch = check_features(p, features)
+    ids = p.graph.basin_ids
+    n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
+    probe = probe_batch(p.graph, p.dims)
+    combined, embeddings, _ = forward_batch(p, probe)
+    f = fold(p, embeddings)
+    preds = f.apply(features)                                            # (B, n)
+    loss = weighted_mse_loss(dict(zip(ids, preds.T)), labels, w)
 
-    t, k, d_x = p.dims.window, p.dims.embedding, p.dims.channels
-    batch = next(iter(features.values())).shape[0]
-
-    grad = p.unpack(np.zeros(param_count(p)))
-
-    # dL/dE_i accumulates the head term plus anything routed back from
-    # downstream combiners, hence the reverse topological sweep.
-    g_emb = {bid: np.zeros((batch, t, k)) for bid in p.graph.basin_ids}
-
-    for bid in reversed(p.graph.topo_order):
+    g_pred = np.zeros_like(preds)
+    for i, bid in enumerate(ids):
         weight = w.weights.get(bid, 0.0)
         if weight:
-            g_pred = 2.0 * weight * (preds[bid] - labels[bid]) / batch    # (B,)
-            e_flat = embeddings[bid].reshape(batch, t * k)
-            grad.head_w[bid] += g_pred @ e_flat
-            grad.head_b[bid] += float(np.sum(g_pred))
-            g_emb[bid] += (g_pred[:, None] * p.head_w[bid]).reshape(batch, t, k)
+            g_pred[:, i] = 2.0 * weight * (preds[:, i] - labels[bid]) / batch
 
+    # Filter gradients, regrouped from (input basin, window) to one
+    # (T, n * d_x) block per forecast basin, then through the fold:
+    # weights_i = H_i @ R_i^T and bias_i = sum_t H_i[t] . q_i + head_b_i.
+    g_w = np.stack([features[bid].reshape(batch, t * d_x).T @ g_pred for bid in ids])
+    g_f = g_w.reshape(n, t, d_x, n).transpose(3, 1, 0, 2).reshape(n, t, n * d_x)
+    g_bias = g_pred.sum(axis=0)                                          # (n,)
+    g_heads = g_f @ f.response + g_bias[:, None, None] * f.zero[:, None, :]
+    g_response = np.where(f.inside, g_f.transpose(0, 2, 1) @ f.heads, 0.0)
+
+    grad = p.unpack(np.zeros(param_count(p)))
+    for i, bid in enumerate(ids):
+        grad.head_w[bid] = g_heads[i].reshape(t * k)
+        grad.head_b[bid] = float(g_bias[i])
+
+    # dL/dE_i on the probe: R_i is E_i at the impulse slots minus E_i at
+    # slot 0, and q_i is E_i at slot 0.
+    seeds = np.zeros((n, len(probe[ids[0]]) * t, k))
+    seeds[:, 1 : 1 + n * d_x] = g_response
+    seeds[:, 0] = g_bias[:, None] * f.heads.sum(axis=1) - g_response.sum(axis=1)
+    # dL/dE_i accumulates its seed plus anything routed back from
+    # downstream combiners, hence the reverse topological sweep.
+    g_emb = {bid: seeds[i].reshape(-1, t, k) for i, bid in enumerate(ids)}
+
+    for bid in reversed(p.graph.topo_order):
         g_e = g_emb[bid]
-        u = np.concatenate([features[bid], combined[bid]], axis=2)       # (B, T, d_x+K)
+        u = np.concatenate([probe[bid], combined[bid]], axis=2)          # (P, T, d_x+K)
         grad.shared_w += np.einsum("btk,btu->ku", g_e, u)
         grad.shared_b += g_e.sum(axis=(0, 1))
-        g_c = g_e @ p.shared_w[:, d_x:]                                  # (B, T, K)
+        g_c = g_e @ p.shared_w[:, d_x:]                                  # (P, T, K)
 
         srcs = p.graph.upstream[bid]
         if srcs:
             stacked = np.concatenate([embeddings[j] for j in srcs], axis=2)
             grad.combiner_w[bid] += np.einsum("btk,btv->kv", g_c, stacked)
             grad.combiner_b[bid] += g_c.sum(axis=(0, 1))
-            g_stacked = g_c @ p.combiner_w[bid]                          # (B, T, |S|*K)
+            g_stacked = g_c @ p.combiner_w[bid]                          # (P, T, |S|*K)
             for idx, j in enumerate(srcs):
                 g_emb[j] += g_stacked[:, :, idx * k : (idx + 1) * k]
 
@@ -207,7 +236,7 @@ def _fit(
 
     ``batch_loss(params, idx)`` gives the loss and the gradient container
     on the examples at ``idx``; ``full_loss(params)`` gives the full-set
-    loss plus any buffers to keep until the next epoch's full pass returns.
+    loss.
     """
     cfg.check()
     if n == 0:
@@ -222,12 +251,7 @@ def _fit(
             loss, grad = batch_loss(p.unpack(vector), perm[start : start + cfg.batch_size])
             _check_not_diverged(loss, epoch)
             vector = opt.step(vector, grad.pack())
-        # The previous pass's buffers stay referenced until this pass has
-        # returned. Freed between epochs, glibc hands their pages back to
-        # the OS and every epoch faults the full-set embeddings in again:
-        # on the 15-basin tree over 20 epochs (2-CPU x86-64) that was four
-        # times the minor faults and up to 18% slower, for 23 MB less RSS.
-        epoch_loss, _held = full_loss(p.unpack(vector))
+        epoch_loss = full_loss(p.unpack(vector))
         _check_not_diverged(epoch_loss, epoch)
         history.append(epoch_loss)
 
@@ -252,9 +276,8 @@ def train(
         labels = {bid: examples.labels[bid][idx] for bid in basin_ids}
         return backward_hydronet(q, feats, labels, w)
 
-    def full_loss(q: HydroNetParams) -> tuple[float, dict[str, np.ndarray]]:
-        embeddings, preds = forward_batch(q, examples.features)[1:]
-        return weighted_mse_loss(preds, examples.labels, w), embeddings
+    def full_loss(q: HydroNetParams) -> float:
+        return weighted_mse_loss(predict(q, examples.features), examples.labels, w)
 
     return _fit(p, len(examples), cfg, batch_loss, full_loss)
 
@@ -267,8 +290,8 @@ def train_flat(p: FlatLinearParams, examples: ExampleSet, cfg: TrainConfig) -> T
         feats = {bid: examples.features[bid][idx] for bid in p.included}
         return backward_flat(q, feats, labels[idx])
 
-    def full_loss(q: FlatLinearParams) -> tuple[float, None]:
+    def full_loss(q: FlatLinearParams) -> float:
         err = forward_flat_batch(q, examples.features) - labels
-        return float(np.mean(err * err)), None
+        return float(np.mean(err * err))
 
     return _fit(p, len(examples), cfg, batch_loss, full_loss)

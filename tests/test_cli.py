@@ -96,6 +96,14 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_malformed_region_fails_without_traceback(self, tmp_path, capsys):
+        for i, data in enumerate([b"[" * 100000, b"1" * 5000, b'{"basins": "\xff"}']):
+            f = tmp_path / f"region{i}.json"
+            f.write_bytes(data)
+            assert main(["validate", str(f)]) == 1
+            out, err = capsys.readouterr()
+            assert "syntax-error" in out and "Traceback" not in err
+
 
 class TestGenSynth:
     def test_outputs_parse_and_agree(self, tmp_path):
@@ -212,6 +220,29 @@ class TestTrainEvaluate:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert "invalid-config" in err and "Traceback" not in err, (argv, err)
+
+
+    def test_undecodable_inputs_exit_two(self, tmp_path, capsys, fork_graph):
+        undecodable = tmp_path / "latin1.txt"
+        undecodable.write_bytes(b"caf\xe9")
+        region = tmp_path / "region.json"
+        region.write_text(dump_region(fork_graph))
+        good = write_exp_config(tmp_path / "good.json", tmp_path / "run")
+        from_files = {"synth": None, "region": str(region), "series": str(undecodable)}
+        cases = [
+            (["train", "--config", str(undecodable)], "invalid-config"),
+            (["gen-synth", "--config", str(undecodable), "--out", str(tmp_path / "out")], "invalid-config"),
+            (["evaluate", "--config", good, "--checkpoint", str(undecodable)], "bad-checkpoint"),
+            (["train", "--config", write_exp_config(
+                tmp_path / "series.json", tmp_path / "run", **from_files)], "syntax-error"),
+            (["train", "--config", write_exp_config(
+                tmp_path / "region.json", tmp_path / "run", **{**from_files, "region": str(undecodable)},
+            )], "syntax-error"),
+        ]
+        for argv, code in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert code in err and "Traceback" not in err, (argv, err)
 
 
 class TestExperimentCommands:

@@ -351,6 +351,14 @@ class TestCheckpoints:
             edited(tree, lambda d: d["dims"].update(window=0)),
             edited(tree, lambda d: d["dims"].update(extra=1)),
             '{"kind": "linear", "dims": ' + "1" * 5000 + "}",
+            edited(tree, lambda d: d["heads"]["b2"].update(b=float("nan"))),
+            edited(tree, lambda d: d["shared_b"].__setitem__(0, float("inf"))),
+            edited(tree, lambda d: d["combiners"]["b3"]["w"][0].__setitem__(1, float("-inf"))),
+            edited(tree, lambda d: d["heads"]["b1"].update(b=int("9" * 400))),
+            edited(tree, lambda d: d["heads"]["b1"]["w"].__setitem__(0, int("9" * 400))),
+            edited(flat, lambda d: d.update(bias=float("nan"))),
+            edited(flat, lambda d: d["weights"].__setitem__(0, float("inf"))),
+            edited(flat, lambda d: d.update(bias=int("9" * 400))),
         ]
         for text in bad:
             with pytest.raises(HydroNetsError, match="bad-checkpoint"):

@@ -60,6 +60,16 @@ class TestParse:
         with pytest.raises(HydroNetsError, match="syntax-error"):
             parse_region("{not json")
 
+    def test_malformed_json_is_syntax_error(self):
+        texts = [
+            "[" * 100000,
+            "1" * 5000,
+            '{"basins": [{"id": "b1", "name": "x", "static": [' + "9" * 400 + ']}], "edges": []}',
+        ]
+        for text in texts:
+            with pytest.raises(HydroNetsError, match="syntax-error"):
+                parse_region(text)
+
     def test_static_features_carried(self):
         doc = {"basins": [{"id": "b1", "name": "x", "static": [1.0, 2.0]}], "edges": []}
         g = parse_region(json.dumps(doc))

@@ -1,7 +1,10 @@
 """Loss, analytic gradients, and the optimization loop."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hydronets.data import generate_synthetic, prepare_datasets, SynthConfig
 from hydronets.errors import HydroNetsError
@@ -9,10 +12,14 @@ from hydronets.region import drain_of
 from hydronets.model import (
     Dims,
     FlatLinearParams,
+    fold,
     forward_batch,
     forward_flat_batch,
     init_flat,
     init_hydronet,
+    param_count,
+    predict,
+    probe_batch,
 )
 from hydronets.training import (
     LossWeights,
@@ -25,7 +32,7 @@ from hydronets.training import (
     weighted_mse_loss,
 )
 
-from conftest import tree_from_parents
+from conftest import random_trees, tree_from_parents
 
 
 def rel_err(a, b):
@@ -86,7 +93,7 @@ class TestBackwardHydronet:
         p = init_hydronet(chain2, dims, 1)
         rng = np.random.default_rng(1)
         feats = {b: rng.standard_normal((3, 2, 2)) for b in chain2.basin_ids}
-        _, _, preds = forward_batch(p, feats)
+        preds = predict(p, feats)
         w = LossWeights.uniform(chain2.basin_ids)
         loss, grad = backward_hydronet(p, feats, preds, w)
         assert loss == 0.0
@@ -122,6 +129,107 @@ class TestBackwardHydronet:
         # reaches upstream combiner and shared weights
         assert np.any(grad.shared_w != 0.0)
         assert np.any(grad.combiner_w["b3"] != 0.0)
+
+
+def reference_backward(p, features, labels, w):
+    """Loss and gradient by the reverse sweep over every step of every
+    window of the batch: the oracle for the folded backward pass."""
+    combined, embeddings, preds = forward_batch(p, features)
+    loss = weighted_mse_loss(preds, labels, w)
+    t, k, d_x = p.dims.window, p.dims.embedding, p.dims.channels
+    batch = next(iter(features.values())).shape[0]
+    grad = p.unpack(np.zeros(param_count(p)))
+    g_emb = {bid: np.zeros((batch, t, k)) for bid in p.graph.basin_ids}
+    for bid in reversed(p.graph.topo_order):
+        weight = w.weights.get(bid, 0.0)
+        if weight:
+            g_pred = 2.0 * weight * (preds[bid] - labels[bid]) / batch
+            grad.head_w[bid] += g_pred @ embeddings[bid].reshape(batch, t * k)
+            grad.head_b[bid] += float(np.sum(g_pred))
+            g_emb[bid] += (g_pred[:, None] * p.head_w[bid]).reshape(batch, t, k)
+        g_e = g_emb[bid]
+        u = np.concatenate([features[bid], combined[bid]], axis=2)
+        grad.shared_w += np.einsum("btk,btu->ku", g_e, u)
+        grad.shared_b += g_e.sum(axis=(0, 1))
+        g_c = g_e @ p.shared_w[:, d_x:]
+        srcs = p.graph.upstream[bid]
+        if srcs:
+            stacked = np.concatenate([embeddings[j] for j in srcs], axis=2)
+            grad.combiner_w[bid] += np.einsum("btk,btv->kv", g_c, stacked)
+            grad.combiner_b[bid] += g_c.sum(axis=(0, 1))
+            g_stacked = g_c @ p.combiner_w[bid]
+            for idx, j in enumerate(srcs):
+                g_emb[j] += g_stacked[:, :, idx * k : (idx + 1) * k]
+    return loss, grad
+
+
+@st.composite
+def folding_cases(draw):
+    """A random tree, dims, parameters with non-zero biases, a batch, and
+    loss weights of which some may be zero."""
+    g = draw(random_trees(max_basins=15))
+    dims = Dims(
+        window=draw(st.integers(1, 29)), embedding=draw(st.integers(1, 5)),
+        horizon=1, channels=draw(st.integers(1, 3)),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    p = init_hydronet(g, dims, seed)
+    p = p.unpack(p.pack() + 0.5 * rng.standard_normal(param_count(p)))
+    batch = draw(st.integers(1, 12))
+    feats, labels = random_batch(g, dims, rng, batch)
+    raw = {b: draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for b in g.basin_ids}
+    raw[g.basin_ids[0]] += 1.0
+    return p, feats, labels, LossWeights(raw).normalized()
+
+
+class TestFold:
+    @settings(max_examples=150, deadline=None)
+    @given(folding_cases())
+    def test_predict_matches_forward(self, case):
+        p, feats, _, _ = case
+        preds = forward_batch(p, feats)[2]
+        folded = predict(p, feats)
+        for bid in p.graph.basin_ids:
+            assert rel_err(folded[bid], preds[bid]).max() < 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(folding_cases())
+    def test_gradient_matches_reference(self, case):
+        p, feats, labels, w = case
+        loss, grad = backward_hydronet(p, feats, labels, w)
+        ref_loss, ref_grad = reference_backward(p, feats, labels, w)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        scale = np.abs(ref_grad.pack()).max()
+        assert np.abs(grad.pack() - ref_grad.pack()).max() <= 1e-12 * scale
+
+    def test_probe_size(self, fork_graph):
+        for window, channels in [(1, 1), (2, 2), (3, 2), (9, 1), (24, 2)]:
+            dims = Dims(window=window, embedding=2, horizon=1, channels=channels)
+            probe = probe_batch(fork_graph, dims)
+            n = len(fork_graph.basin_ids)
+            for x in probe.values():
+                assert x.shape == (math.ceil((1 + n * channels) / window), window, channels)
+            slots = np.stack([x.reshape(-1, channels) for x in probe.values()], axis=1)
+            assert np.all(slots[0] == 0.0)
+            assert np.array_equal(slots[1 : 1 + n * channels].reshape(-1, n * channels), np.eye(n * channels))
+            assert np.all(slots[1 + n * channels :] == 0.0)
+
+    def test_response_is_zero_outside_the_subtree(self, fork_graph):
+        dims = Dims(window=3, embedding=2, horizon=1)
+        p = init_hydronet(fork_graph, dims, 5)
+        p = p.unpack(p.pack() + np.random.default_rng(5).standard_normal(param_count(p)))
+        f = fold(p, forward_batch(p, probe_batch(fork_graph, dims))[1])
+        ids = fork_graph.basin_ids
+        subtree = {"b1": {"b1"}, "b2": {"b2"}, "b3": {"b1", "b2", "b3"}, "b4": set(ids)}
+        for i, bid in enumerate(ids):
+            for m, src in enumerate(ids):
+                block = f.response[i, m * dims.channels : (m + 1) * dims.channels]
+                window = f.weights[m, :, i]
+                if src in subtree[bid]:
+                    assert np.any(block != 0.0) and np.any(window != 0.0)
+                else:
+                    assert np.all(block == 0.0) and np.all(window == 0.0)
 
 
 class TestBackwardFlat:
