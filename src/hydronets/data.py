@@ -3,12 +3,19 @@
 Feature layout is fixed at two channels per basin and step: column 0 is
 precipitation (mm/step), column 1 is water level (m). Missing values are
 NaN throughout; windowing drops whole examples rather than imputing.
+
+:func:`load_series` reads a series file column by column: batches of CSV
+records are transposed and each column converted in one pass, and numpy
+builds the grid and the per-basin arrays (views of one array). The
+chronological split returns slice views of the windowed set, so the
+window features are stored once.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
@@ -107,9 +114,10 @@ class ExampleSet:
     def __iter__(self) -> Iterator[Example]:
         return (self[i] for i in range(len(self)))
 
-    def subset(self, index: np.ndarray) -> "ExampleSet":
+    def subset(self, index: np.ndarray | slice) -> "ExampleSet":
         """New set holding the selected rows; ``index`` must preserve
-        ascending anchor order."""
+        ascending anchor order. A slice gives views of this set's arrays,
+        an index array copies."""
         return replace(
             self,
             anchors=self.anchors[index],
@@ -123,75 +131,154 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     """Parse a series file (CSV ``timestamp,basin_id,precip,level``).
 
     Rows may arrive in any order; the timestamp grid is the sorted set of
-    timestamps seen and must be uniformly spaced. An empty reading marks a
-    missing value; ``nan``, ``inf`` and other non-finite literals are
-    rejected. Missing readings and basins of ``g`` missing from the file
-    (entirely or at single steps) come back as NaN.
+    timestamps seen and must be uniformly spaced. Fields are stripped of
+    surrounding whitespace, and blank lines are skipped. An empty reading
+    marks a missing value; ``nan``, ``inf`` and other non-finite literals
+    are rejected. Missing readings and basins of ``g`` missing from the
+    file (entirely or at single steps) come back as NaN.
+
+    Records are read in batches of ``_BATCH`` and converted column by
+    column, each column in one C-level pass; numpy then builds the grid,
+    finds repeated rows and writes every reading with one assignment. The
+    first faulty record in file order raises, with the error its first
+    failing check gives: field count, timestamp (a 64-bit integer), basin,
+    number syntax, finiteness. Grid and duplicate checks follow, over the
+    whole file. Text the CSV reader itself rejects raises ``syntax-error``
+    with its physical line number as soon as it is read.
     """
     reader = csv.reader(io.StringIO(text))
+    index = {bid: i for i, bid in enumerate(g.basin_ids)}
+    parts = []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise HydroNetsError("no-rows", "series file is empty") from None
-    if tuple(h.strip() for h in header) != SERIES_HEADER:
-        raise HydroNetsError("bad-header", f"expected header {','.join(SERIES_HEADER)}")
-
-    rows: list[tuple[int, str, float, float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise HydroNetsError("syntax-error", f"line {lineno}: expected 4 fields, got {len(row)}")
-        ts_text, bid, precip_text, level_text = (f.strip() for f in row)
-        try:
-            ts = int(ts_text)
-        except ValueError:
-            raise HydroNetsError("syntax-error", f"line {lineno}: bad timestamp {ts_text!r}") from None
-        if bid not in g:
-            raise HydroNetsError("unknown-basin", f"line {lineno}: basin {bid!r} not in region")
-        try:
-            precip = float(precip_text) if precip_text else math.nan
-            level = float(level_text) if level_text else math.nan
-        except ValueError:
-            raise HydroNetsError("syntax-error", f"line {lineno}: bad numeric field") from None
-        if (precip_text and not math.isfinite(precip)) or (level_text and not math.isfinite(level)):
-            raise HydroNetsError(
-                "non-finite", f"line {lineno}: non-finite reading; leave the field empty when missing"
-            )
-        rows.append((ts, bid, precip, level))
-
-    if not rows:
+        header = next(reader, None)
+        if header is None:
+            raise HydroNetsError("no-rows", "series file is empty")
+        if tuple(h.strip() for h in header) != SERIES_HEADER:
+            raise HydroNetsError("bad-header", f"expected header {','.join(SERIES_HEADER)}")
+        first_line = 2
+        while batch := list(itertools.islice(reader, _BATCH)):
+            if records := list(filter(None, batch)):                # blank lines give []
+                parts.append(_columns(records, batch, first_line, index))
+            first_line += len(batch)
+    except csv.Error as e:  # e.g. a field over the csv module's size limit
+        raise HydroNetsError("syntax-error", f"line {reader.line_num}: {e}") from None
+    if not parts:
         raise HydroNetsError("no-rows", "series file has no data rows")
+    ts, basin, readings = map(np.concatenate, zip(*parts))
 
-    grid = np.array(sorted({ts for ts, *_ in rows}), dtype=np.int64)
+    grid, step = np.unique(ts, return_inverse=True)
     if len(grid) > 1:
         steps = np.diff(grid)
-        if steps[0] <= 0 or not (steps == steps[0]).all():
+        if steps[0] <= 0 or not (steps == steps[0]).all():        # <= 0: int64 wrap-around
             raise HydroNetsError("non-uniform-grid", "timestamps are not uniformly spaced")
-    index = {int(ts): i for i, ts in enumerate(grid)}
 
-    values = {bid: np.full((len(grid), D_X), np.nan) for bid in g.basin_ids}
-    filled: set[tuple[int, str]] = set()
-    for ts, bid, precip, level in rows:
-        if (ts, bid) in filled:
-            raise HydroNetsError("duplicate-row", f"basin {bid!r} appears twice at timestamp {ts}")
-        filled.add((ts, bid))
-        values[bid][index[ts]] = (precip, level)
+    # A stable sort keeps equal cells in file order, so the first repeat
+    # in file order is the earliest non-first member of any run.
+    cell = step * len(index) + basin
+    order = np.argsort(cell, kind="stable")
+    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+    if repeats.size:
+        row = repeats.min()
+        raise HydroNetsError(
+            "duplicate-row", f"basin {g.basin_ids[basin[row]]!r} appears twice at timestamp {ts[row]}"
+        )
 
-    return SeriesStore(timestamps=grid, values=values)
+    values = np.full((len(index), len(grid), D_X), np.nan)
+    values[basin, step] = readings
+    return SeriesStore(timestamps=grid, values={bid: values[i] for bid, i in index.items()})
+
+
+# Records converted per batch. A batch's row lists stay alive until it is
+# converted; much larger batches measured slower (the cyclic garbage
+# collector rescans the live row lists) and take more memory.
+_BATCH = 4096
+
+
+def _columns(
+    records: list[list[str]], batch: list[list[str]], first_line: int, index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Timestamps, basin indices and (n, 2) readings of ``records``, the
+    non-empty records of ``batch``, whose first record is line
+    ``first_line``. Any fault raises :func:`_first_fault`'s error."""
+    if set(map(len, records)) == {4}:
+        ts, bids, precip, level = (list(map(str.strip, col)) for col in zip(*records))
+        try:
+            readings = np.array([[float(x) if x else math.nan for x in col] for col in (precip, level)]).T
+            columns = (
+                np.array(list(map(int, ts)), dtype=np.int64),
+                np.array(list(map(index.__getitem__, bids)), dtype=np.intp),
+                readings,
+            )
+        except (ValueError, KeyError, OverflowError):
+            pass
+        else:
+            # An empty field is the only way a reading may be NaN.
+            if not np.isinf(readings).any() and np.isnan(readings).sum() == precip.count("") + level.count(""):
+                return columns
+    raise _first_fault(records, batch, first_line, index)
+
+
+def _first_fault(
+    records: list[list[str]], batch: list[list[str]], first_line: int, index: dict[str, int]
+) -> HydroNetsError:
+    """The error for the first faulty record of ``records`` (see
+    :func:`_columns`). Each check scans its column only up to the
+    earliest fault found so far, so a record's first failing check wins."""
+    lines = [first_line + k for k, r in enumerate(batch) if r]
+    stop = next((i for i, r in enumerate(records) if len(r) != 4), len(records))
+    fault = None
+    if stop < len(records):
+        fault = HydroNetsError("syntax-error", f"line {lines[stop]}: expected 4 fields, got {len(records[stop])}")
+    rows = [[f.strip() for f in r] for r in records[:stop]]
+    checks = (
+        ("syntax-error", lambda r: not _parses(_int64, r[0]), "bad timestamp {0!r}"),
+        ("unknown-basin", lambda r: r[1] not in index, "basin {1!r} not in region"),
+        ("syntax-error", lambda r: not all(_parses(float, x) for x in r[2:] if x), "bad numeric field"),
+        (
+            "non-finite",
+            lambda r: not all(math.isfinite(float(x)) for x in r[2:] if x),
+            "non-finite reading; leave the field empty when missing",
+        ),
+    )
+    for code, bad, message in checks:
+        i = next((i for i in range(stop) if bad(rows[i])), stop)
+        if i < stop:
+            stop, fault = i, HydroNetsError(code, f"line {lines[i]}: " + message.format(*rows[i]))
+    return fault
+
+
+def _parses(convert, text: str) -> bool:
+    try:
+        convert(text)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _int64(text: str) -> np.int64:
+    return np.int64(int(text))
 
 
 def dump_series(store: SeriesStore) -> str:
     """Serialize a store to the series file format (sorted by timestamp
     then basin id; floats via repr so the file round-trips bit-exactly)."""
     out = [",".join(SERIES_HEADER)]
+    fields = {bid: _csv_field(bid) for bid in sorted(store.basin_ids)}
     for i, ts in enumerate(store.timestamps):
-        for bid in sorted(store.basin_ids):
+        for bid, field in fields.items():
             precip, level = store.values[bid][i]
             p = "" if math.isnan(precip) else repr(float(precip))
             lv = "" if math.isnan(level) else repr(float(level))
-            out.append(f"{int(ts)},{bid},{p},{lv}")
+            out.append(f"{int(ts)},{field},{p},{lv}")
     return "\n".join(out) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted only when it holds a comma, a
+    quote or a line break."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text])
+    return out.getvalue().removesuffix("\r\n")
 
 
 def fit_norm_stats(store: SeriesStore, interval: tuple[int, int]) -> NormStats:
@@ -283,13 +370,17 @@ def window_examples(store: SeriesStore, g: RegionGraph, window: int, horizon: in
 
 
 def split_chronological(examples: ExampleSet, boundary: int) -> tuple[ExampleSet, ExampleSet]:
-    """Partition by anchor time: train anchors < boundary <= test anchors."""
-    mask = examples.anchors < boundary
-    if not mask.any():
+    """Partition by anchor time: train anchors < boundary <= test anchors.
+
+    Anchors increase, so the train set is a prefix: both halves are slice
+    views sharing ``examples``' arrays, not copies.
+    """
+    cut = int(np.searchsorted(examples.anchors, boundary))
+    if cut == 0:
         raise HydroNetsError("empty-train", f"no anchors before boundary {boundary}")
-    if mask.all():
+    if cut == len(examples):
         raise HydroNetsError("empty-test", f"no anchors at or after boundary {boundary}")
-    return examples.subset(mask), examples.subset(~mask)
+    return examples.subset(slice(0, cut)), examples.subset(slice(cut, None))
 
 
 def prepare_datasets(

@@ -8,6 +8,9 @@ ahead equals the level now; for slow-moving rivers persistence is a much
 stronger reference, so this score separates models far better than NSE.
 Both are 1 for perfect predictions, 0 for baseline parity, negative when
 the model loses to the baseline.
+
+:func:`evaluate` scores the tree model through its folded per-basin
+filters, read off one forward pass over the probe batch as in training.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import numpy as np
 
 from .data import ExampleSet, NormStats
 from .errors import HydroNetsError
-from .model import FlatLinearParams, HydroNetParams, forward_batch, forward_flat_batch
+from .model import (
+    FlatLinearParams,
+    HydroNetParams,
+    check_features,
+    fold,
+    forward_batch,
+    forward_flat_batch,
+    probe_batch,
+)
 
 
 def mse(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -104,9 +115,12 @@ def evaluate(
 ) -> MetricsReport:
     """Score a model on an example set, per basin.
 
-    Tree models are scored at every basin; the flat baseline only at its
-    target. Passing the normalization stats converts predictions, labels,
-    and the persistence reference back to raw units before scoring.
+    Tree models are scored at every basin, through the per-basin filters
+    folded from one :func:`~hydronets.model.forward_batch` over the probe
+    batch (as in training), so the tree is never evaluated per window.
+    The flat baseline is scored only at its target. Passing the
+    normalization stats converts predictions, labels, and the persistence
+    reference back to raw units before scoring.
     """
     if len(examples) == 0:
         raise HydroNetsError("empty-metric-input", "cannot evaluate on zero examples")
@@ -116,10 +130,11 @@ def evaluate(
         score = _score_basin(p.target, preds, examples.labels[p.target], examples.persist[p.target], norm)
         return MetricsReport(scores=(score,))
 
-    feats = {bid: examples.features[bid] for bid in p.graph.basin_ids}
-    _, _, preds = forward_batch(p, feats)
+    check_features(p, examples.features)
+    embeddings = forward_batch(p, probe_batch(p.graph, p.dims))[1]
+    preds = fold(p, embeddings).apply(examples.features)
     scores = tuple(
-        _score_basin(bid, preds[bid], examples.labels[bid], examples.persist[bid], norm)
-        for bid in p.graph.basin_ids
+        _score_basin(bid, preds[:, i], examples.labels[bid], examples.persist[bid], norm)
+        for i, bid in enumerate(p.graph.basin_ids)
     )
     return MetricsReport(scores=scores)

@@ -13,7 +13,10 @@ window. Since all three sub-models are affine, each forecast is also an
 affine filter over the windows of the basins that drain into its basin;
 :func:`fold` reads those :class:`Filters` off one :func:`forward_batch`
 over the unit-impulse :func:`probe_batch`, and :func:`predict` applies
-them with one matmul per input basin.
+them with one matmul per input basin. Training and
+:func:`~hydronets.metrics.evaluate` both go through the fold; the
+per-window :func:`forward_batch` serves the probe, single examples
+(:func:`forward_hydronet`) and the tests.
 
 The flat baseline ignores the tree and regresses the forecast on the
 concatenated feature windows of a basin subtree.
@@ -21,7 +24,9 @@ concatenated feature windows of a basin subtree.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -96,21 +101,29 @@ class HydroNetParams:
 
     def pack(self) -> np.ndarray:
         """Flatten every parameter into one vector in :func:`layout` order."""
-        return np.concatenate([
-            np.ravel(self.block(field, bid)) for field, bid, _ in layout(self.graph, self.dims)
-        ])
+        blocks = _packing(self.graph, self.dims)[0]
+        return np.concatenate([self.block(field, bid) for field, bid, _ in blocks], axis=None)
 
     def unpack(self, vector: np.ndarray) -> "HydroNetParams":
         """Inverse of :meth:`pack`; returns a new parameter container."""
-        blocks = layout(self.graph, self.dims)
-        ends = np.cumsum([math.prod(shape) for _, _, shape in blocks])
-        if len(vector) != ends[-1]:
-            raise HydroNetsError("shape-mismatch", f"vector has {len(vector)} entries, expected {ends[-1]}")
+        blocks, slices, size = _packing(self.graph, self.dims)
+        if len(vector) != size:
+            raise HydroNetsError("shape-mismatch", f"vector has {len(vector)} entries, expected {size}")
         values = [
-            chunk.reshape(shape).copy() if shape else float(chunk[0])
-            for chunk, (_, _, shape) in zip(np.split(vector, ends[:-1]), blocks)
+            vector[s].reshape(shape).copy() if shape else float(vector[s.start])
+            for s, (_, _, shape) in zip(slices, blocks)
         ]
         return _from_blocks(self.graph, self.dims, blocks, values)
+
+
+@functools.lru_cache(maxsize=64)
+def _packing(g: RegionGraph, dims: Dims) -> tuple[tuple[Block, ...], tuple[slice, ...], int]:
+    """:func:`layout`, each block's slice of the packed vector, and the
+    vector's length. Cached, because training packs and unpacks on every
+    minibatch."""
+    blocks = tuple(layout(g, dims))
+    ends = list(itertools.accumulate(math.prod(shape) for _, _, shape in blocks))
+    return blocks, tuple(map(slice, [0, *ends], ends)), ends[-1]
 
 
 def _from_blocks(g: RegionGraph, dims: Dims, blocks: list[Block], values) -> HydroNetParams:

@@ -99,8 +99,9 @@ def parse_region(text: str) -> RegionGraph:
     """Parse a region file (JSON with "basins" and "edges" arrays).
 
     Echoes the declared structure exactly; tree invariants are checked by
-    :func:`validate`, not here. Raises on malformed syntax, duplicate ids,
-    edges naming unknown basins, unknown fields, and empty basin lists.
+    :func:`validate`, not here. Raises on malformed syntax (ids with
+    leading or trailing whitespace included), duplicate ids, edges naming
+    unknown basins, unknown fields, and empty basin lists.
     """
     doc = parse_json(text, "syntax-error")
     if not isinstance(doc, dict):
@@ -125,6 +126,8 @@ def parse_region(text: str) -> RegionGraph:
         name = entry.get("name")
         if not isinstance(bid, str) or not bid:
             raise HydroNetsError("syntax-error", f"basin #{i} needs a non-empty string 'id'")
+        if bid != bid.strip():  # series files strip their fields, so no row could name it
+            raise HydroNetsError("syntax-error", f"basin id {bid!r} has leading or trailing whitespace")
         if not isinstance(name, str):
             raise HydroNetsError("syntax-error", f"basin {bid!r} needs a string 'name'")
         if bid in seen:

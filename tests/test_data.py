@@ -1,18 +1,25 @@
 """Series ingestion, normalization, windowing, and the synthetic generator."""
 
+import csv
+import io
 import json
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydronets import data
 from hydronets.codec import from_doc
 from hydronets.data import (
+    D_X,
     LEVEL,
     PRECIP,
+    SERIES_HEADER,
+    SeriesStore,
     SynthConfig,
     apply_norm,
     dump_series,
@@ -26,9 +33,130 @@ from hydronets.data import (
     window_examples,
 )
 from hydronets.errors import HydroNetsError
-from hydronets.region import drain_of, validate
+from hydronets.presets import chain_fixture, tree_fixture
+from hydronets.region import Basin, RegionGraph, drain_of, validate
 
 from conftest import make_series_text, tree_from_parents
+
+
+def reference_load_series(text, g):
+    """Record-at-a-time series parser, the oracle for :func:`load_series`:
+    every record is checked in file order (field count, timestamp, basin,
+    number syntax, finiteness) before the grid and duplicate checks. It
+    raises uncoded errors on timestamps beyond int64 and on text the csv
+    module rejects, so the fuzz below generates neither; tests of their
+    own cover both."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise HydroNetsError("no-rows", "series file is empty") from None
+    if tuple(h.strip() for h in header) != SERIES_HEADER:
+        raise HydroNetsError("bad-header", f"expected header {','.join(SERIES_HEADER)}")
+
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise HydroNetsError("syntax-error", f"line {lineno}: expected 4 fields, got {len(row)}")
+        ts_text, bid, precip_text, level_text = (f.strip() for f in row)
+        try:
+            ts = int(ts_text)
+        except ValueError:
+            raise HydroNetsError("syntax-error", f"line {lineno}: bad timestamp {ts_text!r}") from None
+        if bid not in g:
+            raise HydroNetsError("unknown-basin", f"line {lineno}: basin {bid!r} not in region")
+        try:
+            precip = float(precip_text) if precip_text else math.nan
+            level = float(level_text) if level_text else math.nan
+        except ValueError:
+            raise HydroNetsError("syntax-error", f"line {lineno}: bad numeric field") from None
+        if (precip_text and not math.isfinite(precip)) or (level_text and not math.isfinite(level)):
+            raise HydroNetsError(
+                "non-finite", f"line {lineno}: non-finite reading; leave the field empty when missing"
+            )
+        rows.append((ts, bid, precip, level))
+
+    if not rows:
+        raise HydroNetsError("no-rows", "series file has no data rows")
+
+    grid = np.array(sorted({ts for ts, *_ in rows}), dtype=np.int64)
+    if len(grid) > 1:
+        steps = np.diff(grid)
+        if steps[0] <= 0 or not (steps == steps[0]).all():
+            raise HydroNetsError("non-uniform-grid", "timestamps are not uniformly spaced")
+    index = {int(ts): i for i, ts in enumerate(grid)}
+
+    values = {bid: np.full((len(grid), D_X), np.nan) for bid in g.basin_ids}
+    filled = set()
+    for ts, bid, precip, level in rows:
+        if (ts, bid) in filled:
+            raise HydroNetsError("duplicate-row", f"basin {bid!r} appears twice at timestamp {ts}")
+        filled.add((ts, bid))
+        values[bid][index[ts]] = (precip, level)
+
+    return SeriesStore(timestamps=grid, values=values)
+
+
+def outcome(parse, text, g):
+    """What ``parse`` makes of ``text``: the store's exact bytes (NaN
+    included), or the error code and message."""
+    try:
+        store = parse(text, g)
+    except HydroNetsError as e:
+        return "error", e.code, str(e)
+    return "store", store.timestamps.tobytes(), [(b, v.tobytes()) for b, v in store.values.items()]
+
+
+FUZZ_GRAPH = tree_from_parents([0, 0])
+NUMBERS = ["x", "1.2.3", "--1", " 1.5 ", "\t2\t", "nan", "NaN", "inf", "-Infinity", "1e999", "-1e999",
+           "", "  ", "1_0", "+3", "0x10", "1e-400", "1,5"]
+TIMESTAMPS = ["x", "1.5", " 7200 ", "", "-3600", "1800", "90000", "00", "1_800", "٣"]
+BASINS = ["zz", " b1 ", "B1", "", "b0 ", "b 1"]
+
+
+@st.composite
+def mutated_series(draw):
+    """A valid series text for ``FUZZ_GRAPH`` with one to four mutations."""
+    n = draw(st.integers(1, 5))
+    header, *lines = make_series_text(FUZZ_GRAPH, n).splitlines()
+    rows = [line.split(",") for line in lines]
+    newline = "\n"
+    focus = draw(st.integers(0, len(rows) - 1))  # mutations often share a row, to order checks within it
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from([
+            "drop-field", "extra-field", "number", "timestamp", "basin", "quote", "blank",
+            "duplicate", "shuffle", "drop-row", "crlf",
+        ]))
+        if not rows:
+            break
+        r = min(focus, len(rows) - 1) if draw(st.booleans()) else draw(st.integers(0, len(rows) - 1))
+        row = rows[r]
+        if kind == "drop-field" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif kind == "extra-field":
+            row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(["1.0", "", "b1"])))
+        elif kind == "number" and len(row) == 4:
+            row[draw(st.integers(2, 3))] = draw(st.sampled_from(NUMBERS))
+        elif kind == "timestamp" and row:
+            row[0] = draw(st.sampled_from(TIMESTAMPS + [str(3600 * (n + 2))]))
+        elif kind == "basin" and len(row) > 1:
+            row[1] = draw(st.sampled_from(BASINS))
+        elif kind == "quote" and row:
+            f = draw(st.integers(0, len(row) - 1))
+            row[f] = '"' + row[f].replace('"', '""') + '"'
+        elif kind == "blank":
+            rows.insert(r, [])
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        elif kind == "shuffle":
+            rows = draw(st.permutations(rows))
+        elif kind == "drop-row":
+            del rows[r]
+        elif kind == "crlf":
+            newline = "\r\n"
+    return newline.join([header] + [",".join(row) for row in rows]) + newline
 
 
 class TestLoadSeries:
@@ -105,6 +233,56 @@ class TestLoadSeries:
         again = load_series(dump_series(store), fork_graph)
         for bid in store.basin_ids:
             assert np.array_equal(store.values[bid], again.values[bid])
+
+    def test_dump_quotes_ids_that_need_it(self):
+        ids = ["a,b", 'say "hi"', "line\nbreak", "plain"]
+        g = RegionGraph(basins=tuple(Basin(id=b, name=b) for b in ids), edges=())
+        rng = np.random.default_rng(2)
+        store = SeriesStore(timestamps=np.arange(3) * 3600, values={b: rng.standard_normal((3, 2)) for b in ids})
+        text = dump_series(store)
+        assert '\n0,"a,b",' in text and ',"say ""hi""",' in text and "\n0,plain," in text
+        again = load_series(text, g)
+        assert outcome(load_series, text, g) == outcome(reference_load_series, text, g)
+        for bid in ids:
+            assert np.array_equal(store.values[bid], again.values[bid])
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_series(), st.sampled_from([1, 2, 3, 4096]))
+    def test_mutated_series_match_the_reference(self, text, batch):
+        # Small batches put record faults, blank lines and line numbers on
+        # both sides of batch boundaries.
+        with mock.patch.object(data, "_BATCH", batch):
+            got = outcome(load_series, text, FUZZ_GRAPH)
+        assert got == outcome(reference_load_series, text, FUZZ_GRAPH)
+
+    @pytest.mark.parametrize("row, error", [
+        ("x,zz,y,inf,5", "syntax-error: line 4: expected 4 fields, got 5"),
+        ("x,zz,y,inf", "syntax-error: line 4: bad timestamp 'x'"),
+        ("3600,zz,y,inf", "unknown-basin: line 4: basin 'zz'"),
+        ("3600,b1,inf,y", "syntax-error: line 4: bad numeric field"),
+        ("3600,b1,1,-inf", "non-finite: line 4"),
+    ])
+    def test_first_faulty_record_and_first_failing_check_win(self, chain2, row, error):
+        lines = make_series_text(chain2, 3).splitlines()
+        lines[5] = "x,b1,1,2"  # a later faulty record, line 6
+        lines[3] = row
+        text = "\n".join(lines) + "\n"
+        for batch in (1, 2, 4096):
+            with mock.patch.object(data, "_BATCH", batch):
+                with pytest.raises(HydroNetsError, match=error):
+                    load_series(text, chain2)
+
+    def test_timestamp_beyond_int64_is_syntax_error(self, chain2):
+        head = "timestamp,basin_id,precip,level\n"
+        with pytest.raises(HydroNetsError, match="syntax-error: line 2: bad timestamp '9223372036854775808'"):
+            load_series(head + "9223372036854775808,b1,1,2\n", chain2)
+        store = load_series(head + "-9223372036854775808,b1,1,2\n", chain2)
+        assert store.timestamps[0] == -(2**63)
+
+    def test_csv_reader_error_is_syntax_error(self, chain2):
+        text = f"timestamp,basin_id,precip,level\n0,b1,1,{'9' * 200_000}\n"
+        with pytest.raises(HydroNetsError, match="syntax-error: line 2: field larger than field limit"):
+            load_series(text, chain2)
 
 
 class TestNormStats:
@@ -254,6 +432,16 @@ class TestSplit:
         with pytest.raises(HydroNetsError, match="empty-test"):
             split_chronological(examples, 99)
 
+    def test_halves_are_views_equal_to_mask_subsets(self, fork_graph):
+        store = load_series(make_series_text(fork_graph, 100), fork_graph)
+        examples = window_examples(store, fork_graph, window=30, horizon=2)
+        for boundary in range(30, 98):
+            mask = examples.anchors < boundary
+            for got, want in zip(split_chronological(examples, boundary), (mask, ~mask)):
+                assert_same_examples(got, examples.subset(want))
+                for bid in fork_graph.basin_ids:
+                    assert np.shares_memory(got.features[bid], examples.features[bid])
+
     @given(st.integers(0, 80))
     @settings(max_examples=25, deadline=None)
     def test_partition_property(self, boundary):
@@ -346,7 +534,42 @@ class TestSynthetic:
         assert from_doc(SynthConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
+def assert_same_examples(a, b):
+    assert a.graph == b.graph and (a.window, a.horizon, a.d_x) == (b.window, b.horizon, b.d_x)
+    assert np.array_equal(a.anchors, b.anchors)
+    for field in ("features", "labels", "persist"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert list(x) == list(y)
+        for bid in x:
+            assert x[bid].tobytes() == y[bid].tobytes() and x[bid].shape == y[bid].shape
+
+
 class TestPrepareDatasets:
+    @pytest.mark.parametrize("fixture", [tree_fixture, chain_fixture])
+    def test_matches_mask_subsets_on_the_fixtures(self, fixture):
+        g, store = generate_synthetic(fixture())
+        train, test, stats = prepare_datasets(store, g, window=24, horizon=2, train_frac=0.8)
+        boundary = int(round(0.8 * store.n_steps))
+        examples = window_examples(apply_norm(store, fit_norm_stats(store, (0, boundary))), g, 24, 2)
+        mask = examples.anchors < boundary
+        assert_same_examples(train, examples.subset(mask))
+        assert_same_examples(test, examples.subset(~mask))
+        assert stats.interval == (0, boundary)
+
+    @pytest.mark.parametrize(
+        "train_frac, code",
+        [(0.00575, "empty-train"), (0.006, None), (0.9995, "empty-test"), (0.99925, None)],
+    )
+    def test_split_edges(self, train_frac, code):
+        # 4000 steps, T=24, H=2: anchors 23..3997, boundary round(frac * 4000)
+        g, store = generate_synthetic(tree_fixture())
+        if code is None:
+            train, test, _ = prepare_datasets(store, g, window=24, horizon=2, train_frac=train_frac)
+            assert len(train) >= 1 and len(test) >= 1
+        else:
+            with pytest.raises(HydroNetsError, match=code):
+                prepare_datasets(store, g, window=24, horizon=2, train_frac=train_frac)
+
     def test_boundary_and_stats_interval(self, fork_graph):
         store = load_series(make_series_text(fork_graph, 100), fork_graph)
         train, test, stats = prepare_datasets(store, fork_graph, window=10, horizon=2, train_frac=0.8)

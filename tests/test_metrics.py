@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hydronets.data import ExampleSet, NormStats
 from hydronets.errors import HydroNetsError
 from hydronets.metrics import evaluate, mse, r2_nse, r2_persist
-from hydronets.model import Dims, FlatLinearParams, init_hydronet, param_count
+from hydronets.model import Dims, FlatLinearParams, forward_batch, init_hydronet, param_count
 
-from conftest import tree_from_parents
+from conftest import random_trees, tree_from_parents
 
 PREDS = np.array([2.0, 3.0, 7.0])
 LABELS = np.array([2.0, 4.0, 8.0])
@@ -162,6 +162,52 @@ class TestEvaluate:
         assert [s.basin_id for s in report.scores] == list(fork_graph.basin_ids)
         assert all(s.n_examples == n for s in report.scores)
         assert all(s.r2 <= 1.0 and s.r2_persist <= 1.0 for s in report.scores)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_trees(max_basins=12), st.integers(1, 20), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_tree_scores_match_per_window_forward(self, g, window, embedding, seed):
+        rng = np.random.default_rng(seed)
+        dims = Dims(window=window, embedding=embedding, horizon=1)
+        p = init_hydronet(g, dims, seed)
+        p = p.unpack(p.pack() + 0.5 * rng.standard_normal(param_count(p)))
+        n = int(rng.integers(2, 10))
+        examples = ExampleSet(
+            graph=g, window=window, horizon=1, d_x=2,
+            anchors=np.arange(n),
+            features={b: rng.standard_normal((n, window, 2)) for b in g.basin_ids},
+            labels={b: rng.standard_normal(n) for b in g.basin_ids},
+            persist={b: rng.standard_normal(n) for b in g.basin_ids},
+        )
+        stats = NormStats(
+            mean={b: rng.standard_normal(2) for b in g.basin_ids},
+            std={b: rng.uniform(0.5, 2.0, 2) for b in g.basin_ids},
+            interval=(0, n),
+        )
+        preds = forward_batch(p, examples.features)[2]
+        for norm in (None, stats):
+            report = evaluate(p, examples, norm)
+            assert [s.basin_id for s in report.scores] == list(g.basin_ids)
+            for score in report.scores:
+                bid = score.basin_id
+                labels, persist, want = examples.labels[bid], examples.persist[bid], preds[bid]
+                if norm is not None:
+                    labels, persist, want = (norm.denorm_level(bid, x) for x in (labels, persist, want))
+                assert score.n_examples == n
+                assert score.mse == pytest.approx(mse(want, labels), rel=1e-12)
+                assert score.r2 == pytest.approx(r2_nse(want, labels), rel=1e-12, abs=1e-12)
+                assert score.r2_persist == pytest.approx(r2_persist(want, labels, persist), rel=1e-12, abs=1e-12)
+
+    def test_tree_features_checked(self, fork_graph):
+        p = init_hydronet(fork_graph, Dims(window=2, embedding=2, horizon=1), 0)
+        examples = ExampleSet(
+            graph=fork_graph, window=3, horizon=1, d_x=2,
+            anchors=np.arange(4),
+            features={b: np.zeros((4, 3, 2)) for b in fork_graph.basin_ids},
+            labels={b: np.arange(4.0) for b in fork_graph.basin_ids},
+            persist={b: np.zeros(4) for b in fork_graph.basin_ids},
+        )
+        with pytest.raises(HydroNetsError, match="shape-mismatch"):
+            evaluate(p, examples)
 
     def test_denormalization_changes_mse_not_skill(self):
         g, examples = single_basin_examples()

@@ -70,6 +70,11 @@ class TestParse:
             with pytest.raises(HydroNetsError, match="syntax-error"):
                 parse_region(text)
 
+    @pytest.mark.parametrize("bid", [" b0", "b0 ", "\tb0", "b0\n", "  "])
+    def test_id_with_outer_whitespace_is_syntax_error(self, bid):
+        with pytest.raises(HydroNetsError, match="syntax-error: basin id .* leading or trailing whitespace"):
+            parse_region(region_text([bid], []))
+
     def test_static_features_carried(self):
         doc = {"basins": [{"id": "b1", "name": "x", "static": [1.0, 2.0]}], "edges": []}
         g = parse_region(json.dumps(doc))
