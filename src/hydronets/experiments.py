@@ -75,6 +75,9 @@ class ExperimentConfig:
             values = getattr(self, name) or ()
             if len(set(values)) != len(values):
                 raise HydroNetsError("invalid-config", f"{name} lists a value twice: {list(values)}")
+        for name in ("basins", "sizes"):
+            if getattr(self, name) == ():
+                raise HydroNetsError("invalid-config", f"{name} is empty; null leaves it unset")
         if self.sizes and min(self.sizes) < 1:
             raise HydroNetsError("invalid-config", "sizes must be >= 1")
         if self.metric not in METRICS:
@@ -380,10 +383,10 @@ def run_scarcity(cfg: ExperimentConfig) -> ReportTable:
     baseline trains per basin on its depth-limited subtree.
     """
     cfg.check()
-    g, store, hashes = load_inputs(cfg)
     counts = cfg.sizes
-    if not counts:
+    if counts is None:
         raise HydroNetsError("invalid-config", "scarcity run needs training sizes")
+    g, store, hashes = load_inputs(cfg)
     basins = _basins(cfg, g)
 
     train_full, test_set, stats = prepare_datasets(

@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import json
 import math
+import types
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
@@ -243,7 +244,8 @@ def forward_batch(
     return combined, embeddings, preds
 
 
-def probe_batch(g: RegionGraph, dims: Dims) -> dict[str, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def probe_batch(g: RegionGraph, dims: Dims) -> Mapping[str, np.ndarray]:
     """Unit-impulse input for :func:`fold`, shaped like a batch of
     ``ceil((1 + n * d_x) / T)`` examples for the ``n`` basins of ``g``.
 
@@ -251,12 +253,15 @@ def probe_batch(g: RegionGraph, dims: Dims) -> dict[str, np.ndarray]:
     (example, step) slot ``s = example * T + step`` is its own probe. Slot
     0 is all zeros; slot ``1 + m * d_x + c`` holds a 1 in channel ``c`` of
     the ``m``-th basin of ``g.basin_ids``; later slots are zero padding.
+    Cached per (graph, dims), as every training step folds: the mapping
+    and its arrays are read-only.
     """
     n, t, d_x = len(g.basin_ids), dims.window, dims.channels
     slots = -(-(1 + n * d_x) // t) * t
     probe = np.zeros((n, slots, d_x))
     probe[np.repeat(np.arange(n), d_x), 1 + np.arange(n * d_x), np.tile(np.arange(d_x), n)] = 1.0
-    return {bid: probe[m].reshape(-1, t, d_x) for m, bid in enumerate(g.basin_ids)}
+    probe.flags.writeable = False
+    return types.MappingProxyType({bid: probe[m].reshape(-1, t, d_x) for m, bid in enumerate(g.basin_ids)})
 
 
 @dataclass(frozen=True)
@@ -293,15 +298,19 @@ class Filters:
         return out
 
 
+@functools.lru_cache(maxsize=64)
 def _inside(g: RegionGraph, channels: int) -> np.ndarray:
     """(n, n * channels, 1) mask: row ``m * channels + c`` of basin i is
-    set when basin m drains into i or is i."""
+    set when basin m drains into i or is i. Cached and read-only, like
+    :func:`probe_batch`."""
     index = {bid: i for i, bid in enumerate(g.basin_ids)}
     mask = np.eye(len(index), dtype=bool)
     for bid in g.topo_order:
         for j in g.upstream[bid]:
             mask[index[bid]] |= mask[index[j]]
-    return np.repeat(mask, channels, axis=1)[:, :, None]
+    mask = np.repeat(mask, channels, axis=1)[:, :, None]
+    mask.flags.writeable = False
+    return mask
 
 
 def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> Filters:
@@ -412,7 +421,9 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
     """Rebuild parameters from checkpoint text. Tree checkpoints need the
     region graph and verify its fingerprint; every block must have the
     shape :func:`layout` gives for that graph and the checkpoint's dims,
-    and every parameter must be finite."""
+    and every parameter must be finite. A linear checkpoint's ``included``
+    basins must be distinct and hold its ``target``; given ``g``, the
+    target and every included basin must be basins of it."""
     doc = parse_json(text, "bad-checkpoint")
     try:
         try:
@@ -421,9 +432,16 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
         except HydroNetsError as e:
             raise HydroNetsError("bad-checkpoint", str(e)) from None
         if doc["kind"] == "linear":
+            target, included = doc["target"], doc["included"]
+            if not (isinstance(included, list) and all(isinstance(b, str) for b in [target, *included])):
+                raise HydroNetsError("bad-checkpoint", "target and included must be basin ids")
+            if g is not None and not {target, *included} <= set(g.basin_ids):
+                raise HydroNetsError("graph-mismatch", f"{[target, *included]} names basins not in the region")
+            if len(set(included)) != len(included) or target not in included:
+                raise HydroNetsError("bad-checkpoint", f"included {included} repeats a basin or lacks {target!r}")
             p = FlatLinearParams(
-                target=doc["target"],
-                included=tuple(doc["included"]),
+                target=target,
+                included=tuple(included),
                 dims=dims,
                 weights=np.array(doc["weights"], dtype=float),
                 bias=float(doc["bias"]),

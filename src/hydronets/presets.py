@@ -1,5 +1,6 @@
-"""Canned synthetic fixtures shared by the test suite and the experiment
-scripts, so both exercise the same data."""
+"""Canned synthetic fixtures shared by the test suite and the benchmark.
+The synth sections of the configs in ``configs/`` are these fixtures
+written out, so the committed experiments exercise the same data."""
 
 from __future__ import annotations
 

@@ -27,12 +27,12 @@ from .errors import HydroNetsError
 from .model import (
     FlatLinearParams,
     HydroNetParams,
+    _packing,
     check_features,
     flat_design_matrix,
     fold,
     forward_batch,
     forward_flat_batch,
-    param_count,
     predict,
     probe_batch,
 )
@@ -135,7 +135,7 @@ def backward_hydronet(
     g_heads = g_f @ f.response + g_bias[:, None, None] * f.zero[:, None, :]
     g_response = np.where(f.inside, g_f.transpose(0, 2, 1) @ f.heads, 0.0)
 
-    grad = p.unpack(np.zeros(param_count(p)))
+    grad = p.unpack(np.zeros(_packing(p.graph, p.dims)[2]))
     for i, bid in enumerate(ids):
         grad.head_w[bid] = g_heads[i].reshape(t * k)
         grad.head_b[bid] = float(g_bias[i])

@@ -1,17 +1,25 @@
 """End-to-end command-line checks, run in process through main()."""
 
+import contextlib
+import copy
+import io
 import json
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hydronets.cli
 from hydronets.cli import main
-from hydronets.data import SynthConfig, load_series
-from hydronets.model import init_hydronet, load_checkpoint, Dims
-from hydronets.region import dump_region, parse_region
+from hydronets.codec import from_doc
+from hydronets.data import SynthConfig, generate_synthetic, load_series
+from hydronets.experiments import ExperimentConfig
+from hydronets.model import init_flat, init_hydronet, load_checkpoint, save_checkpoint, Dims
+from hydronets.presets import chain_fixture, tree_fixture
+from hydronets.region import drain_of, dump_region, parse_region
 
 
 def write_exp_config(path, out_dir, **overrides):
@@ -44,6 +52,8 @@ BAD_CONFIGS = [
     {"sizes": [0]},
     {"basins": "b0"},
     {"basins": ["b0", "b0"]},
+    {"basins": []},
+    {"sizes": []},
     {"train_frac": "0.5"},
     {"workers": "2"},
     {"alpha": None},
@@ -244,6 +254,22 @@ class TestTrainEvaluate:
             err = capsys.readouterr().err
             assert code in err and "Traceback" not in err, (argv, err)
 
+    def test_linear_checkpoint_outside_the_region_exits_two(self, tmp_path, capsys):
+        cfg_path = write_exp_config(tmp_path / "exp.json", tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--model", "linear"]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        cases = [
+            ({**doc, "target": "zz", "included": [*doc["included"][:-1], "zz"]}, "graph-mismatch"),
+            ({**doc, "included": [doc["included"][0]] * len(doc["included"])}, "bad-checkpoint"),
+        ]
+        for edited, code in cases:
+            ckpt.write_text(json.dumps(edited))
+            capsys.readouterr()
+            assert main(["evaluate", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(code) and "Traceback" not in err, err
+
 
 class TestExperimentCommands:
     def test_exp_depth_smoke(self, tmp_path):
@@ -280,3 +306,138 @@ class TestExperimentCommands:
         ]) == 0
         report = (tmp_path / "run" / "report.csv").read_text()
         assert "train=30" in report and "train=60" in report
+
+
+# Error codes a checkpoint that does not fit the config may fail with.
+CHECKPOINT_CODES = ("bad-checkpoint", "graph-mismatch", "shape-mismatch")
+ODD_VALUES = [float("nan"), float("inf"), -float("inf"), int("9" * 400), 0, 1, 1.5, True, "1", None, []]
+
+
+def _paths(doc, path=()):
+    """Path of every value inside ``doc``, containers included, root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_checkpoints(draw, docs, basin_ids):
+    """Checkpoint text: one of ``docs`` with one to three edits."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    repeat = None
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        lists = [p for p in paths if isinstance(_at(doc, p), list)]
+        numbers = [p for p in paths if type(_at(doc, p)) in (int, float)]
+        names = [("included", i) for i in range(len(doc.get("included", [])))] + [
+            (field, bid) for field in ("combiners", "heads") for bid in doc.get(field, {})
+        ]
+        edit = draw(st.sampled_from(["drop", "kind", "fingerprint", "cut", "reshape", "rename", "repeat", "value"]))
+        if edit == "drop" and paths:
+            path = draw(st.sampled_from(paths))
+            del _at(doc, path[:-1])[path[-1]]
+        elif edit == "kind":
+            doc["kind"] = draw(st.sampled_from(["linear", "hydronets", "cnn", 1]))
+        elif edit == "fingerprint":
+            fp = str(doc.get("graph_fingerprint", ""))
+            doc["graph_fingerprint"] = draw(st.sampled_from([fp[:-1], fp[::-1], "0" * 64]))
+        elif edit == "cut" and lists:
+            path = draw(st.sampled_from(lists))
+            block = _at(doc, path)
+            del block[draw(st.integers(0, len(block))):]
+        elif edit == "reshape" and lists:
+            path = draw(st.sampled_from(lists))
+            block = _at(doc, path)
+            nested = block and all(isinstance(x, list) for x in block)
+            _at(doc, path[:-1])[path[-1]] = [x for row in block for x in row] if nested else [block]
+        elif edit in ("rename", "repeat") and names:
+            field, key = draw(st.sampled_from(names))
+            new = draw(st.sampled_from([*basin_ids, "zz", ""]))
+            if field == "included" and edit == "rename":
+                doc["included"][key] = new
+                doc["target"] = draw(st.sampled_from([doc["target"], new]))
+            elif field == "included":
+                doc["included"].insert(draw(st.integers(0, len(doc["included"]))), doc["included"][key])
+            elif edit == "rename":
+                doc[field][new] = doc[field].pop(key)
+            else:
+                repeat = field, key, doc[field][draw(st.sampled_from(sorted(doc[field])))]
+        elif edit == "value" and numbers:
+            path = draw(st.sampled_from(numbers))
+            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(ODD_VALUES))
+    text = json.dumps(doc)
+    if repeat and f'"{repeat[0]}": {{' in text:  # JSON objects may repeat a key; the last one wins
+        field, key, value = repeat
+        text = text.replace(f'"{field}": {{', f'"{field}": {{"{key}": {json.dumps(value)}, ', 1)
+    return text
+
+
+class TestCheckpointFuzz:
+    """Every mutated checkpoint either fails ``evaluate`` with a checkpoint
+    error code and no traceback, or loads to parameters that save and load
+    back unchanged."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        cfg_path = write_exp_config(root / "exp.json", root / "run")
+        g, _ = generate_synthetic(SynthConfig(branching=2, height=2, n_steps=160, noise_std=0.05, seed=3))
+        dims = Dims(window=4, embedding=2, horizon=1)
+        docs = [
+            json.loads(save_checkpoint(init_hydronet(g, dims, 0))),
+            json.loads(save_checkpoint(init_flat(g, drain_of(g), 2, dims, 0))),
+        ]
+        return cfg_path, root / "checkpoint.json", g, docs
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoints(self, inputs, data):
+        cfg_path, ckpt, g, docs = inputs
+        text = data.draw(mutated_checkpoints(docs, g.basin_ids))
+        ckpt.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--config", cfg_path, "--checkpoint", str(ckpt)])
+        err = err.getvalue()
+        if code == 0:
+            p = load_checkpoint(text, g)
+            assert save_checkpoint(load_checkpoint(save_checkpoint(p), g)) == save_checkpoint(p)
+        else:
+            assert code == 2 and "Traceback" not in err, err
+            assert err.split(":")[0] in CHECKPOINT_CODES, err
+
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+COMMANDS = {"depth": "exp-depth", "all_basins": "exp-basins", "scarcity": "exp-scarcity"}
+
+
+@pytest.fixture(scope="module")
+def fixtures():
+    return (tree_fixture(), chain_fixture())
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+def test_committed_config(path, fixtures, tmp_path):
+    """Each config file loads, holds a calibrated fixture exactly, and, if
+    it is an experiment config, runs through its command at one epoch and
+    one seed."""
+    doc = json.loads(path.read_text())
+    if path.stem not in COMMANDS:
+        assert from_doc(SynthConfig, doc) in fixtures
+        return
+    cfg = ExperimentConfig.from_json(path.read_text())
+    assert cfg.synth in fixtures
+    out = tmp_path / "run"
+    doc.update(seeds=doc["seeds"][:1], out_dir=str(out))
+    doc["train"]["epochs"] = 1
+    copy_path = tmp_path / path.name
+    copy_path.write_text(json.dumps(doc))
+    assert main([COMMANDS[path.stem], "--config", str(copy_path)]) == 0
+    assert (out / "report.csv").exists()

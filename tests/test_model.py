@@ -359,9 +359,21 @@ class TestCheckpoints:
             edited(flat, lambda d: d.update(bias=float("nan"))),
             edited(flat, lambda d: d["weights"].__setitem__(0, float("inf"))),
             edited(flat, lambda d: d.update(bias=int("9" * 400))),
+            edited(flat, lambda d: d.update(included=[*d["included"][:-1], d["included"][0]])),
+            edited(flat, lambda d: d.update(target="b1")),
+            edited(flat, lambda d: d.update(included="b4")),
+            edited(flat, lambda d: d.update(target=4)),
         ]
         for text in bad:
             with pytest.raises(HydroNetsError, match="bad-checkpoint"):
+                load_checkpoint(text, fork_graph)
+        foreign = [
+            edited(flat, lambda d: d.update(target="zz", included=[*d["included"][:-1], "zz"])),
+            edited(flat, lambda d: d["included"].__setitem__(0, "zz")),
+            edited(flat, lambda d: d.update(target="zz")),
+        ]
+        for text in foreign:
+            with pytest.raises(HydroNetsError, match="graph-mismatch"):
                 load_checkpoint(text, fork_graph)
 
     def test_fingerprint_ignores_declaration_order(self, fork_graph):
