@@ -362,7 +362,8 @@ def mutated_checkpoints(draw, docs, basin_ids):
             new = draw(st.sampled_from([*basin_ids, "zz", ""]))
             if field == "included" and edit == "rename":
                 doc["included"][key] = new
-                doc["target"] = draw(st.sampled_from([doc["target"], new]))
+                if "target" in doc:
+                    doc["target"] = draw(st.sampled_from([doc["target"], new]))
             elif field == "included":
                 doc["included"].insert(draw(st.integers(0, len(doc["included"]))), doc["included"][key])
             elif edit == "rename":
