@@ -36,7 +36,6 @@ from .model import (
     Dims,
     FlatLinearParams,
     HydroNetParams,
-    forward_flat,
     forward_hydronet,
     init_flat,
     init_hydronet,
@@ -95,7 +94,6 @@ __all__ = [
     "evaluate",
     "finite_difference_grad",
     "fit_norm_stats",
-    "forward_flat",
     "forward_hydronet",
     "generate_synthetic",
     "height",

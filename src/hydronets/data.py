@@ -18,12 +18,12 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import HydroNetsError
-from .region import RegionGraph, topological_order
+from .region import RegionGraph
 
 PRECIP = 0
 LEVEL = 1
@@ -110,9 +110,6 @@ class ExampleSet:
             labels={b: float(v[i]) for b, v in self.labels.items()},
             persist={b: float(v[i]) for b, v in self.persist.items()},
         )
-
-    def __iter__(self) -> Iterator[Example]:
-        return (self[i] for i in range(len(self)))
 
     def subset(self, index: np.ndarray | slice) -> "ExampleSet":
         """New set holding the selected rows; ``index`` must preserve
@@ -221,30 +218,22 @@ def _columns(
 def _first_fault(
     records: list[list[str]], batch: list[list[str]], first_line: int, index: dict[str, int]
 ) -> HydroNetsError:
-    """The error for the first faulty record of ``records`` (see
-    :func:`_columns`). Each check scans its column only up to the
-    earliest fault found so far, so a record's first failing check wins."""
-    lines = [first_line + k for k, r in enumerate(batch) if r]
-    stop = next((i for i, r in enumerate(records) if len(r) != 4), len(records))
-    fault = None
-    if stop < len(records):
-        fault = HydroNetsError("syntax-error", f"line {lines[stop]}: expected 4 fields, got {len(records[stop])}")
-    rows = [[f.strip() for f in r] for r in records[:stop]]
-    checks = (
-        ("syntax-error", lambda r: not _parses(_int64, r[0]), "bad timestamp {0!r}"),
-        ("unknown-basin", lambda r: r[1] not in index, "basin {1!r} not in region"),
-        ("syntax-error", lambda r: not all(_parses(float, x) for x in r[2:] if x), "bad numeric field"),
-        (
-            "non-finite",
-            lambda r: not all(math.isfinite(float(x)) for x in r[2:] if x),
-            "non-finite reading; leave the field empty when missing",
-        ),
-    )
-    for code, bad, message in checks:
-        i = next((i for i in range(stop) if bad(rows[i])), stop)
-        if i < stop:
-            stop, fault = i, HydroNetsError(code, f"line {lines[i]}: " + message.format(*rows[i]))
-    return fault
+    """The error for the first faulty record of ``records``: the first of
+    its checks to fail, in :func:`load_series`' order."""
+    lines = (first_line + k for k, r in enumerate(batch) if r)
+    for line, record in zip(lines, records):
+        if len(record) != 4:
+            return HydroNetsError("syntax-error", f"line {line}: expected 4 fields, got {len(record)}")
+        ts, bid, *fields = (f.strip() for f in record)
+        readings = [x for x in fields if x]
+        if not _parses(_int64, ts):
+            return HydroNetsError("syntax-error", f"line {line}: bad timestamp {ts!r}")
+        if bid not in index:
+            return HydroNetsError("unknown-basin", f"line {line}: basin {bid!r} not in region")
+        if not all(_parses(float, x) for x in readings):
+            return HydroNetsError("syntax-error", f"line {line}: bad numeric field")
+        if not all(math.isfinite(float(x)) for x in readings):
+            return HydroNetsError("non-finite", f"line {line}: non-finite reading; leave the field empty when missing")
 
 
 def _parses(convert, text: str) -> bool:
@@ -310,16 +299,13 @@ def fit_norm_stats(store: SeriesStore, interval: tuple[int, int]) -> NormStats:
     return NormStats(mean=mean, std=std, interval=(start, stop))
 
 
-def apply_norm(store: SeriesStore, stats: NormStats, invert: bool = False) -> SeriesStore:
-    """Z-score every channel (or undo it with ``invert=True``); NaN stays NaN."""
+def apply_norm(store: SeriesStore, stats: NormStats) -> SeriesStore:
+    """Z-score every channel; NaN stays NaN."""
     values: dict[str, np.ndarray] = {}
     for bid, vals in store.values.items():
         if bid not in stats.mean:
             raise HydroNetsError("missing-stats", f"no stats for basin {bid!r}")
-        if invert:
-            values[bid] = vals * stats.std[bid] + stats.mean[bid]
-        else:
-            values[bid] = (vals - stats.mean[bid]) / stats.std[bid]
+        values[bid] = (vals - stats.mean[bid]) / stats.std[bid]
     return SeriesStore(timestamps=store.timestamps, values=values)
 
 
@@ -471,7 +457,7 @@ def route_levels(
     with each basin's kernel) plus attenuated, delayed upstream levels.
     Upstream terms reaching before t=0 contribute zero."""
     levels: dict[str, np.ndarray] = {}
-    for bid in topological_order(g):
+    for bid in g.topo_order:
         p = np.asarray(precip[bid], dtype=float)
         n = len(p)
         y = np.convolve(p, runoff_kernel(scales[bid]))[:n]

@@ -38,7 +38,7 @@ import numpy as np
 from .codec import from_doc, parse_json
 from .data import Example
 from .errors import HydroNetsError
-from .region import RegionGraph, prune_to_depth, topological_order
+from .region import RegionGraph, prune_to_depth
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def init_hydronet(g: RegionGraph, dims: Dims, seed: int) -> HydroNetParams:
 def init_flat(g: RegionGraph, target: str, depth: int, dims: Dims, seed: int) -> FlatLinearParams:
     """Flat baseline over the depth-limited subtree of ``target``."""
     dims.check()
-    included = tuple(topological_order(prune_to_depth(g, target, depth)))
+    included = prune_to_depth(g, target, depth).topo_order
     fan_in = len(included) * dims.window * dims.channels
     rng = np.random.default_rng(seed)
     return FlatLinearParams(
@@ -368,12 +368,6 @@ def forward_flat_batch(p: FlatLinearParams, features: Mapping[str, np.ndarray]) 
     return flat_design_matrix(p, features) @ p.weights + p.bias
 
 
-def forward_flat(p: FlatLinearParams, ex: Example) -> float:
-    """Flat baseline prediction for one example."""
-    features = {bid: ex.features[bid][None, :, :] for bid in p.included if bid in ex.features}
-    return float(forward_flat_batch(p, features)[0])
-
-
 def param_count(p: HydroNetParams | FlatLinearParams) -> int:
     """Exact number of learnable scalars."""
     return len(p.pack())
@@ -421,9 +415,10 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
     """Rebuild parameters from checkpoint text. Tree checkpoints need the
     region graph and verify its fingerprint; every block must have the
     shape :func:`layout` gives for that graph and the checkpoint's dims,
-    and every parameter must be finite. A linear checkpoint's ``included``
-    basins must be distinct and hold its ``target``; given ``g``, the
-    target and every included basin must be basins of it."""
+    and every parameter must be a finite JSON number. A linear
+    checkpoint's ``included`` basins must be distinct and hold its
+    ``target``; given ``g``, the target and every included basin must be
+    basins of it."""
     doc = parse_json(text, "bad-checkpoint")
     try:
         try:
@@ -443,8 +438,8 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
                 target=target,
                 included=tuple(included),
                 dims=dims,
-                weights=np.array(doc["weights"], dtype=float),
-                bias=float(doc["bias"]),
+                weights=np.array(_numbers(doc["weights"]), dtype=float),
+                bias=float(_numbers(doc["bias"])),
             )
             if p.weights.shape != (len(p.included) * dims.window * dims.channels,):
                 raise HydroNetsError("bad-checkpoint", f"weights have shape {p.weights.shape}")
@@ -466,12 +461,12 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
         p = HydroNetParams(
             graph=g,
             dims=dims,
-            shared_w=np.array(doc["shared_w"], dtype=float),
-            shared_b=np.array(doc["shared_b"], dtype=float),
-            combiner_w={bid: np.array(v["w"], dtype=float) for bid, v in combiners.items()},
-            combiner_b={bid: np.array(v["b"], dtype=float) for bid, v in combiners.items()},
-            head_w={bid: np.array(v["w"], dtype=float) for bid, v in heads.items()},
-            head_b={bid: float(v["b"]) for bid, v in heads.items()},
+            shared_w=np.array(_numbers(doc["shared_w"]), dtype=float),
+            shared_b=np.array(_numbers(doc["shared_b"]), dtype=float),
+            combiner_w={bid: np.array(_numbers(v["w"]), dtype=float) for bid, v in combiners.items()},
+            combiner_b={bid: np.array(_numbers(v["b"]), dtype=float) for bid, v in combiners.items()},
+            head_w={bid: np.array(_numbers(v["w"]), dtype=float) for bid, v in heads.items()},
+            head_b={bid: float(_numbers(v["b"])) for bid, v in heads.items()},
         )
         for field, bid, shape in blocks:
             got = np.shape(p.block(field, bid))
@@ -484,3 +479,17 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
         raise HydroNetsError("bad-checkpoint", f"checkpoint missing field {e}") from None
     except (TypeError, ValueError, OverflowError) as e:  # overflow: an integer beyond any float
         raise HydroNetsError("bad-checkpoint", f"malformed checkpoint: {e}") from None
+
+
+def _numbers(value):
+    """``value``, once every leaf of its nested lists is a JSON number:
+    ``float`` and numpy would quietly convert a string, a boolean or a
+    null."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise HydroNetsError("bad-checkpoint", f"parameter {v!r:.40} is not a number")
+    return value

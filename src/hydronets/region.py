@@ -5,13 +5,18 @@ downstream basin, and exactly one basin (the drain) has no outlet. The graph
 shape drives the model's computation graph, so everything here is strictly
 deterministic: source lists are sorted, topological order breaks ties
 lexicographically, and pruning preserves declaration order.
+
+One walk answers every graph query: the Kahn pass in :func:`validate`,
+whose order :attr:`RegionGraph.topo_order` caches once the graph is
+valid. The drain is the last basin of that order, and :func:`height` and
+:func:`prune_to_depth` count hops to a basin along its reverse. Each query
+raises ``invalid-graph`` on a graph :func:`validate` faults.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,8 +74,13 @@ class RegionGraph:
 
     @cached_property
     def topo_order(self) -> tuple[str, ...]:
-        """Validated topological order, cached per graph instance."""
-        return tuple(topological_order(self))
+        """Basin ids with every basin after all of its sources, ties broken
+        lexicographically; cached per graph instance. Raises
+        ``invalid-graph`` when :func:`validate` reports a fault."""
+        report, order = _walk(self)
+        if not report.ok:
+            raise HydroNetsError("invalid-graph", f"cannot order an invalid graph: {report.codes}")
+        return tuple(order)
 
     def __contains__(self, basin_id: str) -> bool:
         return basin_id in self.basin_by_id
@@ -172,12 +182,19 @@ def dump_region(g: RegionGraph) -> str:
 
 def validate(g: RegionGraph) -> ValidationReport:
     """Check the inverted-tree invariants; one report entry per violation."""
+    return _walk(g)[0]
+
+
+def _walk(g: RegionGraph) -> tuple[ValidationReport, list[str]]:
+    """:func:`validate`'s report and the Kahn order its cycle check walks:
+    each basin after all of its sources, ties broken lexicographically.
+    Basins on a cycle, or downstream of one, are left out of the order."""
     errors: list[tuple[str, str]] = []
     ids = list(g.basin_ids)
     id_set = set(ids)
 
     if not ids:
-        return ValidationReport(errors=(("empty-region", "graph has no basins"),))
+        return ValidationReport(errors=(("empty-region", "graph has no basins"),)), []
     if len(id_set) != len(ids):
         dupes = sorted({bid for bid in ids if ids.count(bid) > 1})
         errors.append(("duplicate-id", f"duplicate basin ids: {dupes}"))
@@ -187,34 +204,33 @@ def validate(g: RegionGraph) -> ValidationReport:
         errors.append(("unknown-edge-endpoint", f"edge ({src!r}, {dst!r}) names a missing basin"))
     edges = [e for e in g.edges if e not in dangling]
 
-    out_deg = {bid: 0 for bid in id_set}
-    for src, _ in edges:
-        out_deg[src] += 1
-    for bid in sorted(b for b, d in out_deg.items() if d > 1):
-        errors.append(("multiple-out-edges", f"basin {bid!r} has out-degree {out_deg[bid]}"))
+    indeg = dict.fromkeys(id_set, 0)
+    outs: dict[str, list[str]] = {bid: [] for bid in id_set}
+    for src, dst in edges:
+        indeg[dst] += 1
+        outs[src].append(dst)
+    for bid in sorted(b for b, v in outs.items() if len(v) > 1):
+        errors.append(("multiple-out-edges", f"basin {bid!r} has out-degree {len(outs[bid])}"))
 
-    drains = sorted(b for b, d in out_deg.items() if d == 0)
+    drains = sorted(b for b, v in outs.items() if not v)
     if len(drains) == 0:
         errors.append(("no-drain", "no basin has out-degree 0"))
     elif len(drains) > 1:
         errors.append(("multiple-drains", f"basins with out-degree 0: {drains}"))
 
-    # Kahn residue detects cycles independently of the drain bookkeeping.
-    indeg = {bid: 0 for bid in id_set}
-    outs: dict[str, list[str]] = {bid: [] for bid in id_set}
-    for src, dst in edges:
-        indeg[dst] += 1
-        outs[src].append(dst)
-    ready = deque(bid for bid in id_set if indeg[bid] == 0)
-    processed = 0
+    # Kahn residue detects cycles independently of the drain bookkeeping;
+    # on a valid graph the order is RegionGraph.topo_order.
+    ready = [bid for bid, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
     while ready:
-        bid = ready.popleft()
-        processed += 1
+        bid = heapq.heappop(ready)
+        order.append(bid)
         for nxt in outs[bid]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                ready.append(nxt)
-    if processed != len(id_set):
+                heapq.heappush(ready, nxt)
+    if len(order) != len(id_set):
         errors.append(("cycle-detected", "graph contains a directed cycle"))
 
     # Weak connectivity over the undirected view.
@@ -223,58 +239,46 @@ def validate(g: RegionGraph) -> ValidationReport:
         neighbours[src].add(dst)
         neighbours[dst].add(src)
     seen = {ids[0]}
-    frontier = deque([ids[0]])
+    frontier = [ids[0]]
     while frontier:
-        for nxt in neighbours[frontier.popleft()]:
+        for nxt in neighbours[frontier.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     if len(seen) != len(id_set):
         errors.append(("not-connected", f"{len(id_set) - len(seen)} basin(s) unreachable from {ids[0]!r}"))
 
-    return ValidationReport(errors=tuple(errors))
+    return ValidationReport(errors=tuple(errors)), order
 
 
 def topological_order(g: RegionGraph) -> list[str]:
     """Basin ids with every basin after all of its sources; lexicographic
-    tie-break makes the order unique and stable."""
-    report = validate(g)
-    if not report.ok:
-        raise HydroNetsError("invalid-graph", f"cannot order an invalid graph: {report.codes}")
-    indeg = {bid: len(g.upstream[bid]) for bid in g.basin_ids}
-    heap = [bid for bid, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        bid = heapq.heappop(heap)
-        order.append(bid)
-        for nxt in g.downstream[bid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(heap, nxt)
-    return order
+    tie-break makes the order unique and stable (see
+    :attr:`RegionGraph.topo_order`)."""
+    return list(g.topo_order)
 
 
 def drain_of(g: RegionGraph) -> str:
-    """The unique basin with no outlet. Requires a valid graph."""
-    drains = [bid for bid in g.basin_ids if not g.downstream[bid]]
-    if len(drains) != 1:
-        raise HydroNetsError("invalid-graph", f"expected exactly one drain, found {len(drains)}")
-    return drains[0]
+    """The unique basin with no outlet: the last in topological order."""
+    return g.topo_order[-1]
+
+
+def _hops(g: RegionGraph, target: str) -> dict[str, int]:
+    """Hops to ``target`` from ``target`` (0) and from every basin that
+    drains into it. One pass suffices: the reverse topological order
+    reaches each basin after the one it drains into."""
+    hops = {target: 0}
+    for bid in reversed(g.topo_order):
+        down = g.downstream[bid]
+        if down and down[0] in hops:
+            hops[bid] = hops[down[0]] + 1
+    return hops
 
 
 def height(g: RegionGraph) -> int:
     """Number of basins on the longest upstream path from the drain,
     counting the drain itself (single basin -> 1)."""
-    drain = drain_of(g)
-    best = 1
-    frontier = deque([(drain, 1)])
-    while frontier:
-        bid, depth = frontier.popleft()
-        best = max(best, depth)
-        for src in g.upstream[bid]:
-            frontier.append((src, depth + 1))
-    return best
+    return 1 + max(_hops(g, drain_of(g)).values())
 
 
 def prune_to_depth(g: RegionGraph, target: str, depth: int) -> RegionGraph:
@@ -285,16 +289,7 @@ def prune_to_depth(g: RegionGraph, target: str, depth: int) -> RegionGraph:
         raise HydroNetsError("unknown-target", f"no basin {target!r} in graph")
     if depth < 1:
         raise HydroNetsError("invalid-depth", f"depth must be >= 1, got {depth}")
-    keep = {target}
-    frontier = deque([(target, 0)])
-    while frontier:
-        bid, dist = frontier.popleft()
-        if dist + 1 >= depth:
-            continue
-        for src in g.upstream[bid]:
-            if src not in keep:
-                keep.add(src)
-                frontier.append((src, dist + 1))
+    keep = {bid for bid, hops in _hops(g, target).items() if hops < depth}
     basins = tuple(b for b in g.basins if b.id in keep)
     edges = tuple(e for e in g.edges if e[0] in keep and e[1] in keep)
     return RegionGraph(basins=basins, edges=edges)

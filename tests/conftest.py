@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import hydronets
 from hydronets.region import Basin, RegionGraph
 
 
@@ -26,6 +31,26 @@ def chain2():
         basins=(Basin(id="b1", name="up"), Basin(id="b2", name="down")),
         edges=(("b1", "b2"),),
     )
+
+
+@pytest.fixture
+def cycle_into_outlet():
+    """a and b drain into each other and a also into c, the one basin
+    without an outlet: a walk upstream from c with no visited set never
+    ends."""
+    return RegionGraph(
+        basins=tuple(Basin(id=bid, name=bid) for bid in "abc"),
+        edges=(("a", "b"), ("b", "a"), ("a", "c")),
+    )
+
+
+def run_python(args, timeout=30):
+    """``python *args`` in a fresh process that imports this package. A
+    hang fails the calling test after ``timeout`` seconds instead of
+    stalling the suite."""
+    path = [str(Path(hydronets.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def make_series_text(g, n, step=3600, value_fn=None):

@@ -21,6 +21,8 @@ from hydronets.model import init_flat, init_hydronet, load_checkpoint, save_chec
 from hydronets.presets import chain_fixture, tree_fixture
 from hydronets.region import drain_of, dump_region, parse_region
 
+from conftest import make_series_text, run_python
+
 
 def write_exp_config(path, out_dir, **overrides):
     doc = {
@@ -291,6 +293,17 @@ class TestExperimentCommands:
         assert main(["exp-depth", "--config", cfg_path, "--metric", "r2"]) == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["config"]["metric"] == "r2"
+
+    def test_exp_depth_on_a_cycle_exits_two(self, tmp_path, cycle_into_outlet):
+        region, series = tmp_path / "region.json", tmp_path / "series.csv"
+        region.write_text(dump_region(cycle_into_outlet))
+        series.write_text(make_series_text(cycle_into_outlet, 160))
+        cfg_path = write_exp_config(
+            tmp_path / "exp.json", tmp_path / "run", synth=None, region=str(region), series=str(series)
+        )
+        done = run_python(["-m", "hydronets", "exp-depth", "--config", cfg_path])
+        assert done.returncode == 2
+        assert done.stderr.startswith("invalid-graph: ") and "Traceback" not in done.stderr
 
     def test_exp_basins_smoke(self, tmp_path):
         cfg_path = write_exp_config(tmp_path / "exp.json", tmp_path / "run")

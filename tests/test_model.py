@@ -16,7 +16,7 @@ from hydronets.model import (
     HydroNetParams,
     flat_design_matrix,
     forward_batch,
-    forward_flat,
+    forward_flat_batch,
     forward_hydronet,
     graph_fingerprint,
     init_flat,
@@ -54,6 +54,11 @@ def example_for(g, dims, rng=None, fill=None):
         labels={b: 0.0 for b in g.basin_ids},
         persist={b: 0.0 for b in g.basin_ids},
     )
+
+
+def batch_of(ex):
+    """``ex``'s features as a batch of one example."""
+    return {b: x[None] for b, x in ex.features.items()}
 
 
 class TestForwardHydronet:
@@ -199,7 +204,7 @@ class TestFlat:
         p = init_flat(fork_graph, "b4", 2, dims, 0)
         p = p.unpack(np.concatenate([np.zeros_like(p.weights), [3.5]]))
         ex = example_for(fork_graph, dims, rng=np.random.default_rng(0))
-        assert forward_flat(p, ex) == pytest.approx(3.5)
+        assert forward_flat_batch(p, batch_of(ex)) == pytest.approx([3.5])
 
     def test_single_basin_dot_product(self):
         g = tree_from_parents([])
@@ -208,22 +213,16 @@ class TestFlat:
             target="b0", included=("b0",), dims=dims,
             weights=np.array([1.0, -1.0]), bias=0.0,
         )
-        ex = Example(
-            anchor=0, features={"b0": np.array([[2.0, 5.0]])},
-            labels={"b0": 0.0}, persist={"b0": 0.0},
-        )
-        assert forward_flat(p, ex) == pytest.approx(-3.0)
+        features = {"b0": np.array([[[2.0, 5.0]]])}
+        assert forward_flat_batch(p, features) == pytest.approx([-3.0])
 
     def test_linearity(self, fork_graph):
         dims = Dims(window=3, embedding=1, horizon=1)
         p = init_flat(fork_graph, "b4", 3, dims, 5)
         rng = np.random.default_rng(6)
-        ex = example_for(fork_graph, dims, rng=rng)
-        doubled = Example(
-            anchor=0, features={b: 2.0 * x for b, x in ex.features.items()},
-            labels=ex.labels, persist=ex.persist,
-        )
-        assert forward_flat(p, doubled) == pytest.approx(2.0 * forward_flat(p, ex), rel=1e-12)
+        features = batch_of(example_for(fork_graph, dims, rng=rng))
+        doubled = {b: 2.0 * x for b, x in features.items()}
+        assert forward_flat_batch(p, doubled) == pytest.approx(2.0 * forward_flat_batch(p, features), rel=1e-12)
 
     def test_included_is_pruned_subtree(self, fork_graph):
         p = init_flat(fork_graph, "b4", 2, Dims(window=2, embedding=1, horizon=1), 0)
@@ -363,6 +362,10 @@ class TestCheckpoints:
             edited(flat, lambda d: d.update(target="b1")),
             edited(flat, lambda d: d.update(included="b4")),
             edited(flat, lambda d: d.update(target=4)),
+            edited(tree, lambda d: d["heads"]["b2"].update(b="1.5")),
+            edited(tree, lambda d: d.update(shared_b=["2", "3"])),
+            edited(tree, lambda d: d["heads"]["b1"]["w"].__setitem__(0, True)),
+            edited(flat, lambda d: d.update(bias="0.5")),
         ]
         for text in bad:
             with pytest.raises(HydroNetsError, match="bad-checkpoint"):

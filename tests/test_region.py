@@ -19,7 +19,7 @@ from hydronets.region import (
     validate,
 )
 
-from conftest import random_trees, tree_from_parents
+from conftest import random_trees, run_python, tree_from_parents
 
 
 def region_text(basins, edges):
@@ -206,3 +206,15 @@ class TestQueries:
     def test_height(self, fork_graph):
         assert height(fork_graph) == 3
         assert height(tree_from_parents([])) == 1
+
+    @pytest.mark.parametrize("query", ["drain_of(g)", "height(g)", "prune_to_depth(g, 'c', 3)"])
+    def test_cycle_into_outlet_raises(self, cycle_into_outlet, query):
+        # In a subprocess, since a query that walks the cycle never returns.
+        script = (
+            "import sys\n"
+            "from hydronets.region import drain_of, height, parse_region, prune_to_depth\n"
+            f"g = parse_region(sys.argv[1])\n{query}\n"
+        )
+        done = run_python(["-c", script, dump_region(cycle_into_outlet)])
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1].startswith("hydronets.errors.HydroNetsError: invalid-graph: ")
