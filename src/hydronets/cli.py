@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .codec import from_doc, parse_json, read_input
-from .data import SynthConfig, dump_series, generate_synthetic, prepare_datasets
+from .data import SynthConfig, dump_series, generate_synthetic, load_series, prepare_datasets
 from .errors import HydroNetsError
 from .experiments import (
     ExperimentConfig,
@@ -117,11 +117,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    g, store, _ = load_inputs(cfg)
+    # The checkpoint is checked before the series, the largest input, is
+    # read, so a bad checkpoint fails fast.
+    if cfg.synth is not None:
+        g, store = generate_synthetic(cfg.synth)
+    else:
+        g, store = parse_region(read_input(cfg.region, "syntax-error")), None
+    params = load_checkpoint(read_input(args.checkpoint, "bad-checkpoint"), g)
+    if store is None:
+        store = load_series(read_input(cfg.series, "syntax-error"), g)
     _, test_set, stats = prepare_datasets(
         store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac
     )
-    params = load_checkpoint(read_input(args.checkpoint, "bad-checkpoint"), g)
     report = evaluate(params, test_set, stats)
     text = report.to_csv()
     print(text, end="")

@@ -6,19 +6,27 @@ NaN throughout; windowing drops whole examples rather than imputing.
 
 :func:`load_series` reads a series file column by column: batches of CSV
 records are transposed and each column converted in one pass, and numpy
-builds the grid and the per-basin arrays (views of one array). The
-chronological split returns slice views of the windowed set, so the
-window features are stored once.
+builds the grid and the per-basin arrays (views of one array). The CSV
+reader reads the text through one small buffer per piece of about
+``_PIECE`` characters, so no buffer ever holds the whole text.
+
+An :class:`ExampleSet` holds the normalized series once, as one
+``(n_steps, n, d_x)`` grid, plus the anchors whose windows are complete.
+No window is stored: a minibatch is gathered from the grid with one
+index, and full-set passes read the grid one lag at a time. The
+chronological split shares the grid and slices the rest.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
+import types
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -85,10 +93,13 @@ class Example:
 
 @dataclass(frozen=True)
 class ExampleSet:
-    """Windowed examples stored column-wise for vectorised evaluation.
+    """Supervised examples over one normalized series grid.
 
-    ``features[basin]`` is (N, T, d_x); ``labels`` and ``persist`` are (N,).
-    Anchors are strictly increasing.
+    ``grid`` is (n_steps, n, d_x), basins in ``graph.basin_ids`` order;
+    example ``i``'s window is ``grid[anchors[i] - window + 1 : anchors[i] +
+    1]``, and ``labels`` and ``persist`` are (N,) per basin. Anchors are
+    strictly increasing. No array here has a window axis, and subsets
+    share the grid.
     """
 
     graph: RegionGraph
@@ -96,32 +107,91 @@ class ExampleSet:
     horizon: int
     d_x: int
     anchors: np.ndarray                    # (N,) int
-    features: dict[str, np.ndarray]
-    labels: dict[str, np.ndarray]
-    persist: dict[str, np.ndarray]
+    grid: np.ndarray                       # (n_steps, n, d_x)
+    labels: dict[str, np.ndarray]          # level at anchor + horizon
+    persist: dict[str, np.ndarray]         # level at anchor
 
     def __len__(self) -> int:
         return len(self.anchors)
 
     def __getitem__(self, i: int) -> Example:
+        anchor = int(self.anchors[i])
+        x = self.grid[anchor - self.window + 1 : anchor + 1]
         return Example(
-            anchor=int(self.anchors[i]),
-            features={b: f[i] for b, f in self.features.items()},
+            anchor=anchor,
+            features={b: x[:, m] for m, b in enumerate(self.graph.basin_ids)},
             labels={b: float(v[i]) for b, v in self.labels.items()},
             persist={b: float(v[i]) for b, v in self.persist.items()},
         )
 
+    @functools.cached_property
+    def features(self) -> Mapping[str, np.ndarray]:
+        """Every basin's (N, T, d_x) windows, read-only, built on first
+        use. They take ``window`` times the grid's memory; training and
+        evaluation gather from the grid instead."""
+        windows = {}
+        for m, bid in enumerate(self.graph.basin_ids):
+            windows[bid] = self.windows(slice(None), np.array([m]))[:, :, 0]
+            windows[bid].flags.writeable = False
+        return types.MappingProxyType(windows)
+
     def subset(self, index: np.ndarray | slice) -> "ExampleSet":
         """New set holding the selected rows; ``index`` must preserve
-        ascending anchor order. A slice gives views of this set's arrays,
-        an index array copies."""
+        ascending anchor order. It shares the grid; a slice gives views of
+        the other arrays, an index array copies them."""
         return replace(
             self,
             anchors=self.anchors[index],
-            features={b: f[index] for b, f in self.features.items()},
             labels={b: v[index] for b, v in self.labels.items()},
             persist={b: v[index] for b, v in self.persist.items()},
         )
+
+    def columns(self, basin_ids: Sequence[str], window: int, d_x: int) -> slice | np.ndarray:
+        """Grid columns of ``basin_ids``, for a model that reads (window,
+        d_x) windows: a full slice when they are the grid's own basins in
+        order. Anything else the set cannot supply is ``shape-mismatch``."""
+        if (window, d_x) != (self.window, self.d_x):
+            raise HydroNetsError(
+                "shape-mismatch", f"examples have ({self.window}, {self.d_x}) windows, want ({window}, {d_x})"
+            )
+        if tuple(basin_ids) == self.graph.basin_ids:
+            return slice(None)
+        index = {bid: m for m, bid in enumerate(self.graph.basin_ids)}
+        for bid in basin_ids:
+            if bid not in index:
+                raise HydroNetsError("shape-mismatch", f"no features for basin {bid!r}")
+        return np.array([index[bid] for bid in basin_ids], dtype=np.intp)
+
+    def windows(self, idx: np.ndarray | slice, cols: slice | np.ndarray) -> np.ndarray:
+        """(B, T, n_cols, d_x) windows of the examples at ``idx``, in one
+        ``np.take`` along one axis of the grid: measured several times
+        faster than indexing it with a pair of index arrays."""
+        lags = np.arange(1 - self.window, 1)
+        if isinstance(cols, slice):
+            return np.take(self.grid, self.anchors[idx, None] + lags, axis=0)
+        n, d_x = self.grid.shape[1:]
+        cells = (self.anchors[idx] * n)[:, None] + (lags[:, None] * n + cols).ravel()
+        return np.take(self.grid.reshape(-1, d_x), cells, axis=0).reshape(len(cells), self.window, len(cols), d_x)
+
+    def lagged_dot(self, cols: slice | np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(N, k): every example's flattened (T, n_cols, d_x) window times
+        ``weights`` (T * n_cols * d_x, k), summed one lag at a time.
+
+        Each lag is one matmul over the grid rows from the first anchor to
+        the last, shifted by the lag, so neither windows nor gathered
+        inputs are built; the columns of anchors not in the set are
+        computed and dropped.
+        """
+        if not len(self):
+            return np.zeros((0, weights.shape[-1]))
+        first, last = int(self.anchors[0]), int(self.anchors[-1])
+        span = last - first + 1
+        rows = self.grid[first - self.window + 1 : last + 1][:, cols]
+        rows = rows.reshape(len(rows), -1)
+        out = np.zeros((weights.shape[-1], span))
+        for t, w in enumerate(weights.reshape(self.window, -1, weights.shape[-1])):
+            out += w.T @ rows[t : t + span].T
+        return out.T[self.anchors - first]
 
 
 def load_series(text: str, g: RegionGraph) -> SeriesStore:
@@ -134,6 +204,8 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     are rejected. Missing readings and basins of ``g`` missing from the
     file (entirely or at single steps) come back as NaN.
 
+    The CSV reader reads ``text`` through :func:`_pieces`, so lines, line
+    numbers and errors are those of one reader over the whole text.
     Records are read in batches of ``_BATCH`` and converted column by
     column, each column in one C-level pass; numpy then builds the grid,
     finds repeated rows and writes every reading with one assignment. The
@@ -143,7 +215,7 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     whole file. Text the CSV reader itself rejects raises ``syntax-error``
     with its physical line number as soon as it is read.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(itertools.chain.from_iterable(map(io.StringIO, _pieces(text))))
     index = {bid: i for i, bid in enumerate(g.basin_ids)}
     parts = []
     try:
@@ -162,6 +234,7 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     if not parts:
         raise HydroNetsError("no-rows", "series file has no data rows")
     ts, basin, readings = map(np.concatenate, zip(*parts))
+    del parts                                   # before the sorts below: it is as large as the columns
 
     grid, step = np.unique(ts, return_inverse=True)
     if len(grid) > 1:
@@ -183,6 +256,21 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     values = np.full((len(index), len(grid), D_X), np.nan)
     values[basin, step] = readings
     return SeriesStore(timestamps=grid, values={bid: values[i] for bid, i in index.items()})
+
+
+# Characters of text per reader buffer. An io.StringIO of the whole text
+# would hold it at up to four bytes per character.
+_PIECE = 1 << 20
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """``text`` in consecutive pieces of at least ``_PIECE`` characters,
+    each but the last ending just after a line feed."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 # Records converted per batch. A batch's row lists stay alive until it is
@@ -312,7 +400,8 @@ def apply_norm(store: SeriesStore, stats: NormStats) -> SeriesStore:
 def window_examples(store: SeriesStore, g: RegionGraph, window: int, horizon: int) -> ExampleSet:
     """Build supervised examples: one candidate per anchor ``t`` in
     ``[window-1, n-1-horizon]``; any NaN in any basin's window, label, or
-    persistence reading drops the whole candidate."""
+    persistence reading drops the whole candidate. The set holds
+    ``store``'s series once, as a read-only grid over ``g``'s basins."""
     if window < 1 or horizon < 1:
         raise HydroNetsError("bad-window", f"window and horizon must be >= 1, got {window}, {horizon}")
     n = store.n_steps
@@ -322,44 +411,32 @@ def window_examples(store: SeriesStore, g: RegionGraph, window: int, horizon: in
         if bid not in store.values:
             raise HydroNetsError("unknown-basin", f"store has no series for basin {bid!r}")
 
+    grid = np.stack([store.values[bid] for bid in g.basin_ids], axis=1)
+    grid.flags.writeable = False
     anchors = np.arange(window - 1, n - horizon)
-    ok = np.ones(len(anchors), dtype=bool)
-    for bid in g.basin_ids:
-        vals = store.values[bid]
-        step_bad = np.isnan(vals).any(axis=1)
-        win_bad = np.lib.stride_tricks.sliding_window_view(step_bad, window).any(axis=1)
-        ok &= ~win_bad[anchors - (window - 1)]
-        ok &= ~np.isnan(vals[anchors + horizon, LEVEL])
-        ok &= ~np.isnan(vals[anchors, LEVEL])
+    step_bad = np.isnan(grid).any(axis=(1, 2))
+    ok = ~np.lib.stride_tricks.sliding_window_view(step_bad, window).any(axis=1)[: len(anchors)]
+    ok &= ~np.isnan(grid[anchors + horizon, :, LEVEL]).any(axis=1)    # the persistence reading is in the window
     anchors = anchors[ok]
 
-    features: dict[str, np.ndarray] = {}
-    labels: dict[str, np.ndarray] = {}
-    persist: dict[str, np.ndarray] = {}
-    for bid in g.basin_ids:
-        vals = store.values[bid]
-        windows = np.lib.stride_tricks.sliding_window_view(vals, window, axis=0)
-        features[bid] = np.ascontiguousarray(np.moveaxis(windows, 2, 1)[anchors - (window - 1)])
-        labels[bid] = vals[anchors + horizon, LEVEL].copy()
-        persist[bid] = vals[anchors, LEVEL].copy()
-
+    levels = grid[:, :, LEVEL].T                                          # (n, n_steps) view
     return ExampleSet(
         graph=g,
         window=window,
         horizon=horizon,
         d_x=D_X,
         anchors=anchors,
-        features=features,
-        labels=labels,
-        persist=persist,
+        grid=grid,
+        labels=dict(zip(g.basin_ids, levels[:, anchors + horizon])),
+        persist=dict(zip(g.basin_ids, levels[:, anchors])),
     )
 
 
 def split_chronological(examples: ExampleSet, boundary: int) -> tuple[ExampleSet, ExampleSet]:
     """Partition by anchor time: train anchors < boundary <= test anchors.
 
-    Anchors increase, so the train set is a prefix: both halves are slice
-    views sharing ``examples``' arrays, not copies.
+    Anchors increase, so the train set is a prefix: both halves share
+    ``examples``' grid, and their other arrays are slice views of its.
     """
     cut = int(np.searchsorted(examples.anchors, boundary))
     if cut == 0:

@@ -10,7 +10,8 @@ Both are 1 for perfect predictions, 0 for baseline parity, negative when
 the model loses to the baseline.
 
 :func:`evaluate` scores the tree model through its folded per-basin
-filters, read off one forward pass over the probe batch as in training.
+filters, read off one forward pass over the probe batch as in training
+and applied one lag at a time to the example set's grid.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from .errors import HydroNetsError
 from .model import (
     FlatLinearParams,
     HydroNetParams,
-    check_features,
     fold,
     forward_batch,
-    forward_flat_batch,
+    forward_flat_set,
     probe_batch,
 )
 
@@ -117,7 +117,8 @@ def evaluate(
 
     Tree models are scored at every basin, through the per-basin filters
     folded from one :func:`~hydronets.model.forward_batch` over the probe
-    batch (as in training), so the tree is never evaluated per window.
+    batch (as in training), applied one lag at a time to the set's grid,
+    so neither the tree nor any window array is evaluated per example.
     The flat baseline is scored only at its target. Passing the
     normalization stats converts predictions, labels, and the persistence
     reference back to raw units before scoring.
@@ -125,14 +126,13 @@ def evaluate(
     if len(examples) == 0:
         raise HydroNetsError("empty-metric-input", "cannot evaluate on zero examples")
     if isinstance(p, FlatLinearParams):
-        feats = {bid: examples.features[bid] for bid in p.included}
-        preds = forward_flat_batch(p, feats)
+        preds = forward_flat_set(p, examples)
         score = _score_basin(p.target, preds, examples.labels[p.target], examples.persist[p.target], norm)
         return MetricsReport(scores=(score,))
 
-    check_features(p, examples.features)
-    embeddings = forward_batch(p, probe_batch(p.graph, p.dims))[1]
-    preds = fold(p, embeddings).apply(examples.features)
+    cols = examples.columns(p.graph.basin_ids, p.dims.window, p.dims.channels)
+    f = fold(p, forward_batch(p, probe_batch(p.graph, p.dims))[1])
+    preds = examples.lagged_dot(cols, f.weights) + f.bias
     scores = tuple(
         _score_basin(bid, preds[:, i], examples.labels[bid], examples.persist[bid], norm)
         for i, bid in enumerate(p.graph.basin_ids)

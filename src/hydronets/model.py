@@ -12,14 +12,20 @@ the shared model's input width uniform.
 window. Since all three sub-models are affine, each forecast is also an
 affine filter over the windows of the basins that drain into its basin;
 :func:`fold` reads those :class:`Filters` off one :func:`forward_batch`
-over the unit-impulse :func:`probe_batch`, and :func:`predict` applies
-them with one matmul per input basin. Training and
-:func:`~hydronets.metrics.evaluate` both go through the fold; the
-per-window :func:`forward_batch` serves the probe, single examples
-(:func:`forward_hydronet`) and the tests.
+over the unit-impulse :func:`probe_batch`. Their weights form one
+(T * n * d_x, n) matrix, lag-major like a gathered minibatch, so a batch's
+forecasts are one matmul, and a whole example set's are one matmul per
+lag straight from its grid (:meth:`~hydronets.data.ExampleSet.lagged_dot`).
+Training and :func:`~hydronets.metrics.evaluate` both go through the
+fold; the per-window :func:`forward_batch` serves the probe, single
+examples (:func:`forward_hydronet`) and the tests.
 
 The flat baseline ignores the tree and regresses the forecast on the
 concatenated feature windows of a basin subtree.
+
+A batch of features is either a mapping from basin to (B, T, d_x) windows
+or one (B, T, n, d_x) array over the model's basins, as
+:meth:`~hydronets.data.ExampleSet.windows` gathers it.
 """
 
 from __future__ import annotations
@@ -31,12 +37,12 @@ import json
 import math
 import types
 from dataclasses import asdict, dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .codec import from_doc, parse_json
-from .data import Example
+from .data import Example, ExampleSet
 from .errors import HydroNetsError
 from .region import RegionGraph, prune_to_depth
 
@@ -198,12 +204,12 @@ def init_flat(g: RegionGraph, target: str, depth: int, dims: Dims, seed: int) ->
     )
 
 
-def check_features(p: HydroNetParams, features: Mapping[str, np.ndarray]) -> int:
+def check_features(basin_ids: Sequence[str], dims: Dims, features: Mapping[str, np.ndarray]) -> int:
     """Batch size of ``features``, which must hold a (B, T, d_x) array
-    for every basin of ``p``'s graph."""
-    t, d_x = p.dims.window, p.dims.channels
+    for every basin of ``basin_ids``."""
+    t, d_x = dims.window, dims.channels
     batch = None
-    for bid in p.graph.basin_ids:
+    for bid in basin_ids:
         if bid not in features:
             raise HydroNetsError("shape-mismatch", f"no features for basin {bid!r}")
         shape = features[bid].shape
@@ -216,6 +222,18 @@ def check_features(p: HydroNetParams, features: Mapping[str, np.ndarray]) -> int
     return batch
 
 
+def as_batch(basin_ids: Sequence[str], dims: Dims, features: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:
+    """``features`` as one (B, T, n, d_x) array over ``basin_ids``: a
+    per-basin mapping is checked and stacked, an array is checked."""
+    if isinstance(features, np.ndarray):
+        want = (dims.window, len(basin_ids), dims.channels)
+        if features.ndim != 4 or features.shape[1:] != want:
+            raise HydroNetsError("shape-mismatch", f"features {features.shape}, want (B, *{want})")
+        return features
+    check_features(basin_ids, dims, features)
+    return np.stack([features[bid] for bid in basin_ids], axis=2)
+
+
 def forward_batch(
     p: HydroNetParams, features: Mapping[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -224,7 +242,7 @@ def forward_batch(
     Returns (combined, embeddings, preds) keyed by basin in topological
     order, shapes (B, T, K), (B, T, K), (B,).
     """
-    batch = check_features(p, features)
+    batch = check_features(p.graph.basin_ids, p.dims, features)
     t, k = p.dims.window, p.dims.embedding
     combined: dict[str, np.ndarray] = {}
     embeddings: dict[str, np.ndarray] = {}
@@ -273,8 +291,9 @@ class Filters:
     basin i's embedding when every input is zero; row ``m * d_x + c`` of
     ``response[i]`` is how much it moves per unit of basin m's channel c at
     the same step, exactly zero unless m drains into i (``inside``).
-    ``weights[m, :, i]`` maps basin m's flattened (T * d_x) window to basin
-    i's forecast, which is ``sum_m x_m @ weights[m, :, i] + bias[i]``.
+    Row ``(t * n + m) * d_x + c`` of ``weights`` maps lag t of basin m's
+    channel c to every basin's forecast, which for a flattened (T, n, d_x)
+    window ``x`` is ``x @ weights + bias``.
     """
 
     basin_ids: tuple[str, ...]
@@ -282,20 +301,12 @@ class Filters:
     response: np.ndarray                   # (n, n * d_x, K)
     inside: np.ndarray                     # (n, n * d_x, 1) bool
     heads: np.ndarray                      # (n, T, K): head_w[i] reshaped
-    weights: np.ndarray                    # (n, T * d_x, n)
+    weights: np.ndarray                    # (T * n * d_x, n)
     bias: np.ndarray                       # (n,)
 
-    def apply(self, features: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Forecasts (B, n) for ``features[basin]`` of shape (B, T, d_x),
-        accumulated one input basin at a time: no (B, n * T * d_x) design
-        matrix is built."""
-        width = self.weights.shape[1]
-        out = np.zeros((len(features[self.basin_ids[0]]), len(self.basin_ids)))
-        for m, bid in enumerate(self.basin_ids):
-            x = features[bid]
-            out += x.reshape(len(x), width) @ self.weights[m]
-        out += self.bias
-        return out
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Forecasts (B, n) for a (B, T, n, d_x) batch: one matmul."""
+        return x.reshape(len(x), -1) @ self.weights + self.bias
 
 
 @functools.lru_cache(maxsize=64)
@@ -324,19 +335,9 @@ def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> Filters:
     response = np.where(inside, e[:, 1 : 1 + n * d_x] - zero[:, None], 0.0)
     heads = np.stack([p.head_w[bid].reshape(t, k) for bid in ids])
     per_step = heads @ response.transpose(0, 2, 1)                       # (n_i, T, n_m * d_x)
-    weights = per_step.reshape(n, t, n, d_x).transpose(2, 1, 3, 0).reshape(n, t * d_x, n)
+    weights = per_step.transpose(1, 2, 0).reshape(t * n * d_x, n)
     bias = np.sum(heads.sum(axis=1) * zero, axis=1) + np.array([p.head_b[bid] for bid in ids])
     return Filters(ids, zero, response, inside, heads, weights, bias)
-
-
-def predict(p: HydroNetParams, features: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every basin's forecast, keyed by basin, through the folded filters:
-    the same numbers as :func:`forward_batch`'s up to rounding, without
-    evaluating the tree at every step of every window."""
-    check_features(p, features)
-    embeddings = forward_batch(p, probe_batch(p.graph, p.dims))[1]
-    preds = fold(p, embeddings).apply(features)
-    return dict(zip(p.graph.basin_ids, preds.T))
 
 
 def forward_hydronet(p: HydroNetParams, ex: Example) -> ForwardTrace:
@@ -350,22 +351,31 @@ def forward_hydronet(p: HydroNetParams, ex: Example) -> ForwardTrace:
     )
 
 
-def flat_design_matrix(p: FlatLinearParams, features: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Concatenate the included basins' flattened windows into (B, D)."""
-    t, d_x = p.dims.window, p.dims.channels
-    cols = []
-    for bid in p.included:
-        if bid not in features:
-            raise HydroNetsError("shape-mismatch", f"no features for basin {bid!r}")
-        x = features[bid]
-        if x.shape[1:] != (t, d_x):
-            raise HydroNetsError("shape-mismatch", f"basin {bid!r} features {x.shape}, want (B, {t}, {d_x})")
-        cols.append(x.reshape(x.shape[0], t * d_x))
-    return np.concatenate(cols, axis=1)
+def flat_design_matrix(p: FlatLinearParams, features: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:
+    """(B, D) design matrix of a batch over ``p.included``, lag-major like
+    the batch itself: column ``(t * k + j) * d_x + c`` is lag t of channel
+    c of the j-th of the k included basins. Its weights are
+    ``p.weights[lag_order(p)]``."""
+    x = as_batch(p.included, p.dims, features)
+    return x.reshape(len(x), -1)
 
 
-def forward_flat_batch(p: FlatLinearParams, features: Mapping[str, np.ndarray]) -> np.ndarray:
-    return flat_design_matrix(p, features) @ p.weights + p.bias
+def lag_order(p: FlatLinearParams) -> np.ndarray:
+    """Index into ``p.weights``, which run basin by basin, of the weight of
+    each lag-major design column."""
+    k, t, d_x = len(p.included), p.dims.window, p.dims.channels
+    return np.arange(k * t * d_x).reshape(k, t, d_x).transpose(1, 0, 2).ravel()
+
+
+def forward_flat_batch(p: FlatLinearParams, features: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:
+    return flat_design_matrix(p, features) @ p.weights[lag_order(p)] + p.bias
+
+
+def forward_flat_set(p: FlatLinearParams, examples: ExampleSet) -> np.ndarray:
+    """The flat forecast (N,) of every example of ``examples``, read from
+    its grid one lag at a time."""
+    cols = examples.columns(p.included, p.dims.window, p.dims.channels)
+    return examples.lagged_dot(cols, p.weights[lag_order(p), None])[:, 0] + p.bias
 
 
 def param_count(p: HydroNetParams | FlatLinearParams) -> int:

@@ -2,9 +2,10 @@
 
 Gradients for the tree model are computed by hand in two stages. The
 batch meets the model only through the folded per-basin filters
-(:func:`~hydronets.model.fold`): forecasts, and the gradient with respect
-to each filter, are matmuls against the real windows. The filter
-gradient then seeds reverse-mode accumulation over the region graph on
+(:func:`~hydronets.model.fold`): its forecasts, and the gradient with
+respect to the filters, are one matmul each against the batch's windows,
+gathered from the example set's grid in one index. The filter gradient
+then seeds reverse-mode accumulation over the region graph on
 the small probe batch the filters were read from: basins are processed
 drain-first so each basin's embedding gradient already includes the
 contribution routed back through every downstream combiner. The flat
@@ -12,13 +13,14 @@ baseline is ordinary linear least squares machinery.
 
 Both model kinds train in one minibatch loop on the packed parameter
 vector; :func:`train` and :func:`train_flat` only supply its batch loss
-and gradient and its full-set loss.
+and gradient and its full-set loss, which reads the grid one lag at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -28,12 +30,12 @@ from .model import (
     FlatLinearParams,
     HydroNetParams,
     _packing,
-    check_features,
+    as_batch,
     flat_design_matrix,
     fold,
     forward_batch,
-    forward_flat_batch,
-    predict,
+    forward_flat_set,
+    lag_order,
     probe_batch,
 )
 
@@ -99,25 +101,27 @@ def weighted_mse_loss(
 
 def backward_hydronet(
     p: HydroNetParams,
-    features: dict[str, np.ndarray],
-    labels: dict[str, np.ndarray],
+    features: Mapping[str, np.ndarray] | np.ndarray,
+    labels: Mapping[str, np.ndarray],
     w: LossWeights,
 ) -> tuple[float, HydroNetParams]:
-    """Loss and analytic gradient for one batch.
+    """Loss and analytic gradient for one batch (see :mod:`~hydronets.model`
+    for its two forms).
 
-    The batch's forecasts and the gradient with respect to each basin's
-    folded filter come from matmuls against the real windows; the tree
-    itself is evaluated, and swept in reverse, only on the probe batch.
-    The gradient is returned in a parameter-shaped container so it packs
+    The batch's forecasts and the gradient with respect to the folded
+    filters are one matmul each against its windows; the tree itself is
+    evaluated, and swept in reverse, only on the probe batch. The
+    gradient is returned in a parameter-shaped container so it packs
     with the same layout as the parameters themselves.
     """
-    batch = check_features(p, features)
     ids = p.graph.basin_ids
+    x = as_batch(ids, p.dims, features)
+    batch = len(x)
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
     probe = probe_batch(p.graph, p.dims)
     combined, embeddings, _ = forward_batch(p, probe)
     f = fold(p, embeddings)
-    preds = f.apply(features)                                            # (B, n)
+    preds = f.apply(x)                                                   # (B, n)
     loss = weighted_mse_loss(dict(zip(ids, preds.T)), labels, w)
 
     g_pred = np.zeros_like(preds)
@@ -126,11 +130,11 @@ def backward_hydronet(
         if weight:
             g_pred[:, i] = 2.0 * weight * (preds[:, i] - labels[bid]) / batch
 
-    # Filter gradients, regrouped from (input basin, window) to one
+    # Filter gradients, regrouped from (lag, input) rows to one
     # (T, n * d_x) block per forecast basin, then through the fold:
     # weights_i = H_i @ R_i^T and bias_i = sum_t H_i[t] . q_i + head_b_i.
-    g_w = np.stack([features[bid].reshape(batch, t * d_x).T @ g_pred for bid in ids])
-    g_f = g_w.reshape(n, t, d_x, n).transpose(3, 1, 0, 2).reshape(n, t, n * d_x)
+    g_w = x.reshape(batch, -1).T @ g_pred                               # (T * n * d_x, n)
+    g_f = g_w.reshape(t, n * d_x, n).transpose(2, 0, 1)
     g_bias = g_pred.sum(axis=0)                                          # (n,)
     g_heads = g_f @ f.response + g_bias[:, None, None] * f.zero[:, None, :]
     g_response = np.where(f.inside, g_f.transpose(0, 2, 1) @ f.heads, 0.0)
@@ -169,18 +173,20 @@ def backward_hydronet(
 
 
 def backward_flat(
-    p: FlatLinearParams, features: dict[str, np.ndarray], labels: np.ndarray
+    p: FlatLinearParams, features: Mapping[str, np.ndarray] | np.ndarray, labels: np.ndarray
 ) -> tuple[float, FlatLinearParams]:
     """Loss and gradient of mean squared error at the target basin."""
     design = flat_design_matrix(p, features)
-    preds = design @ p.weights + p.bias
+    order = lag_order(p)
+    preds = design @ p.weights[order] + p.bias
     err = preds - labels
     batch = len(labels)
     loss = float(np.mean(err * err))
     g_pred = 2.0 * err / batch
+    g_weights = np.empty_like(p.weights)
+    g_weights[order] = g_pred @ design
     return loss, FlatLinearParams(
-        target=p.target, included=p.included, dims=p.dims,
-        weights=g_pred @ design, bias=float(np.sum(g_pred)),
+        target=p.target, included=p.included, dims=p.dims, weights=g_weights, bias=float(np.sum(g_pred)),
     )
 
 
@@ -270,14 +276,16 @@ def train(
         w = LossWeights.uniform(p.graph.basin_ids)
     w = w.normalized()
     basin_ids = p.graph.basin_ids
+    cols = examples.columns(basin_ids, p.dims.window, p.dims.channels)
 
     def batch_loss(q: HydroNetParams, idx: np.ndarray) -> tuple[float, HydroNetParams]:
-        feats = {bid: examples.features[bid][idx] for bid in basin_ids}
         labels = {bid: examples.labels[bid][idx] for bid in basin_ids}
-        return backward_hydronet(q, feats, labels, w)
+        return backward_hydronet(q, examples.windows(idx, cols), labels, w)
 
     def full_loss(q: HydroNetParams) -> float:
-        return weighted_mse_loss(predict(q, examples.features), examples.labels, w)
+        f = fold(q, forward_batch(q, probe_batch(q.graph, q.dims))[1])
+        preds = examples.lagged_dot(cols, f.weights) + f.bias
+        return weighted_mse_loss(dict(zip(basin_ids, preds.T)), examples.labels, w)
 
     return _fit(p, len(examples), cfg, batch_loss, full_loss)
 
@@ -285,13 +293,13 @@ def train(
 def train_flat(p: FlatLinearParams, examples: ExampleSet, cfg: TrainConfig) -> TrainResult:
     """The same loop for the flat baseline (loss at the target basin only)."""
     labels = examples.labels[p.target]
+    cols = examples.columns(p.included, p.dims.window, p.dims.channels)
 
     def batch_loss(q: FlatLinearParams, idx: np.ndarray) -> tuple[float, FlatLinearParams]:
-        feats = {bid: examples.features[bid][idx] for bid in p.included}
-        return backward_flat(q, feats, labels[idx])
+        return backward_flat(q, examples.windows(idx, cols), labels[idx])
 
     def full_loss(q: FlatLinearParams) -> float:
-        err = forward_flat_batch(q, examples.features) - labels
+        err = forward_flat_set(q, examples) - labels
         return float(np.mean(err * err))
 
     return _fit(p, len(examples), cfg, batch_loss, full_loss)

@@ -256,6 +256,31 @@ class TestTrainEvaluate:
             err = capsys.readouterr().err
             assert code in err and "Traceback" not in err, (argv, err)
 
+    def test_bad_checkpoint_fails_before_the_series_is_read(self, tmp_path, capsys, monkeypatch, fork_graph):
+        region, series = tmp_path / "region.json", tmp_path / "series.csv"
+        region.write_text(dump_region(fork_graph))
+        series.write_text(make_series_text(fork_graph, 60))
+        cfg_path = write_exp_config(
+            tmp_path / "exp.json", tmp_path / "run", synth=None, region=str(region), series=str(series)
+        )
+        assert main(["train", "--config", cfg_path]) == 0
+        good, bad = tmp_path / "run" / "checkpoint.json", tmp_path / "bad.json"
+        bad.write_text('{"kind": "hydronets"}')
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg_path, "--checkpoint", str(good)]) == 0
+        # With both inputs bad, the checkpoint's error is the one reported.
+        series.write_text("not,a,series,file\n")
+        reads = []
+        monkeypatch.setattr(hydronets.cli, "load_series", lambda *args: reads.append(args))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg_path, "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("bad-checkpoint") and reads == []
+        monkeypatch.undo()
+        assert main(["evaluate", "--config", cfg_path, "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("bad-checkpoint")
+        assert main(["evaluate", "--config", cfg_path, "--checkpoint", str(good)]) == 2
+        assert capsys.readouterr().err.startswith("bad-header")
+
     def test_linear_checkpoint_outside_the_region_exits_two(self, tmp_path, capsys):
         cfg_path = write_exp_config(tmp_path / "exp.json", tmp_path / "run")
         assert main(["train", "--config", cfg_path, "--model", "linear"]) == 0

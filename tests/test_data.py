@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -33,8 +34,11 @@ from hydronets.data import (
     window_examples,
 )
 from hydronets.errors import HydroNetsError
+from hydronets.metrics import evaluate
+from hydronets.model import Dims, init_flat, init_hydronet
 from hydronets.presets import chain_fixture, tree_fixture
 from hydronets.region import Basin, RegionGraph, drain_of, validate
+from hydronets.training import TrainConfig, train, train_flat
 
 from conftest import make_series_text, tree_from_parents
 
@@ -97,6 +101,32 @@ def reference_load_series(text, g):
         values[bid][index[ts]] = (precip, level)
 
     return SeriesStore(timestamps=grid, values=values)
+
+
+def reference_window_examples(store, g, window, horizon):
+    """Per-basin windowing, the oracle for :func:`window_examples`: the
+    valid anchors, and each basin's (N, T, d_x) windows, labels and
+    persistence readings as separate arrays. Bad window and horizon values
+    and short series are left to :func:`window_examples`' own tests."""
+    n = store.n_steps
+    anchors = np.arange(window - 1, n - horizon)
+    ok = np.ones(len(anchors), dtype=bool)
+    for bid in g.basin_ids:
+        vals = store.values[bid]
+        step_bad = np.isnan(vals).any(axis=1)
+        win_bad = np.lib.stride_tricks.sliding_window_view(step_bad, window).any(axis=1)
+        ok &= ~win_bad[anchors - (window - 1)]
+        ok &= ~np.isnan(vals[anchors + horizon, LEVEL])
+        ok &= ~np.isnan(vals[anchors, LEVEL])
+    anchors = anchors[ok]
+    features, labels, persist = {}, {}, {}
+    for bid in g.basin_ids:
+        vals = store.values[bid]
+        windows = np.lib.stride_tricks.sliding_window_view(vals, window, axis=0)
+        features[bid] = np.ascontiguousarray(np.moveaxis(windows, 2, 1)[anchors - (window - 1)])
+        labels[bid] = vals[anchors + horizon, LEVEL].copy()
+        persist[bid] = vals[anchors, LEVEL].copy()
+    return {"anchors": anchors, "features": features, "labels": labels, "persist": persist}
 
 
 def outcome(parse, text, g):
@@ -402,6 +432,73 @@ class TestWindowing:
             assert np.array_equal(examples.persist[bid], store.values[bid][examples.anchors, LEVEL])
 
 
+@st.composite
+def holed_stores(draw):
+    """A random tree, a store over its basins plus one basin outside it,
+    with NaN holes at random steps, basins and channels, and a window and
+    horizon that fit the series."""
+    g = tree_from_parents([draw(st.integers(0, i)) for i in range(draw(st.integers(0, 4)))])
+    window, horizon = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    n = window + horizon + draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = list(g.basin_ids) + ["zz"]
+    values = rng.standard_normal((len(ids), n, D_X))
+    holes = draw(st.integers(0, 6))
+    values[rng.integers(len(ids), size=holes), rng.integers(n, size=holes), rng.integers(D_X, size=holes)] = np.nan
+    store = SeriesStore(timestamps=np.arange(n) * 3600, values=dict(zip(ids[::-1], values[::-1])))
+    return g, store, window, horizon, rng
+
+
+def assert_matches_reference(examples, ref, index):
+    """``examples`` holds the reference's examples at ``index``: the same
+    anchors, labels, persistence and windows, read every way a set gives
+    them out."""
+    ids = examples.graph.basin_ids
+    assert np.array_equal(examples.anchors, ref["anchors"][index])
+    for field in ("labels", "persist"):
+        assert list(getattr(examples, field)) == list(ids)
+        for bid in ids:
+            assert getattr(examples, field)[bid].tobytes() == ref[field][bid][index].tobytes()
+    windows = {bid: ref["features"][bid][index] for bid in ids}
+    for i in range(len(examples)):
+        for bid in ids:
+            assert examples[i].features[bid].tobytes() == windows[bid][i].tobytes()
+    every = np.arange(len(examples))
+    stacked = np.stack([windows[bid] for bid in ids], axis=2)
+    for idx in (every, every[::-1], every[::2]):
+        assert examples.windows(idx, slice(None)).tobytes() == stacked[idx].tobytes()
+    cols = examples.columns(ids[::-1], examples.window, examples.d_x)
+    assert examples.windows(every, cols).tobytes() == stacked[:, :, ::-1][every].tobytes()
+    # Lag by lag from the grid, holes and all: the design matrix's product
+    # up to summation order.
+    weights = np.random.default_rng(len(examples)).standard_normal((math.prod(stacked.shape[1:]), 3))
+    want = stacked.reshape(len(stacked), len(weights)) @ weights
+    np.testing.assert_allclose(examples.lagged_dot(slice(None), weights), want, rtol=1e-12, atol=1e-12)
+    assert list(examples.features) == list(ids)
+    for bid in ids:
+        assert examples.features[bid].tobytes() == windows[bid].tobytes()
+        assert examples.features[bid].shape == windows[bid].shape
+
+
+class TestWindowingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(holed_stores(), st.data())
+    def test_matches_the_reference(self, case, data):
+        g, store, window, horizon, rng = case
+        examples = window_examples(store, g, window, horizon)
+        ref = reference_window_examples(store, g, window, horizon)
+        everything = np.arange(len(ref["anchors"]))
+        assert_matches_reference(examples, ref, everything)
+        some = np.sort(rng.permutation(everything)[: len(everything) // 2])
+        assert_matches_reference(examples.subset(some), ref, some)
+        if len(everything) >= 2:
+            boundary = data.draw(st.integers(int(ref["anchors"][0]) + 1, int(ref["anchors"][-1])))
+            mask = ref["anchors"] < boundary
+            train, test = split_chronological(examples, boundary)
+            assert_matches_reference(train, ref, everything[mask])
+            assert_matches_reference(test, ref, everything[~mask])
+
+
 class TestSplit:
     def test_partition(self, fork_graph):
         store = load_series(make_series_text(fork_graph, 100), fork_graph)
@@ -431,8 +528,11 @@ class TestSplit:
             mask = examples.anchors < boundary
             for got, want in zip(split_chronological(examples, boundary), (mask, ~mask)):
                 assert_same_examples(got, examples.subset(want))
+                assert got.grid is examples.grid
+                assert np.shares_memory(got.anchors, examples.anchors)
                 for bid in fork_graph.basin_ids:
-                    assert np.shares_memory(got.features[bid], examples.features[bid])
+                    assert np.shares_memory(got.labels[bid], examples.labels[bid])
+                    assert np.shares_memory(got.persist[bid], examples.persist[bid])
 
     @given(st.integers(0, 80))
     @settings(max_examples=25, deadline=None)
@@ -529,11 +629,51 @@ class TestSynthetic:
 def assert_same_examples(a, b):
     assert a.graph == b.graph and (a.window, a.horizon, a.d_x) == (b.window, b.horizon, b.d_x)
     assert np.array_equal(a.anchors, b.anchors)
+    assert a.grid.tobytes() == b.grid.tobytes() and a.grid.shape == b.grid.shape
     for field in ("features", "labels", "persist"):
         x, y = getattr(a, field), getattr(b, field)
         assert list(x) == list(y)
         for bid in x:
             assert x[bid].tobytes() == y[bid].tobytes() and x[bid].shape == y[bid].shape
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, as
+    tracemalloc counts it (numpy reports its arrays there too)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_prepare_datasets_stores_no_windows(self):
+        # A (T=24)-step window per example would take 24 grids.
+        g, store = generate_synthetic(tree_fixture())
+        grid_bytes = store.n_steps * len(g.basin_ids) * D_X * 8
+        (train_set, test_set, _), peak = traced_peak(prepare_datasets, store, g, 24, 2, 0.8)
+        assert peak < 5 * grid_bytes       # measured 3.1 grids; 26 when every window is stored
+        assert train_set.grid is test_set.grid and train_set.grid.nbytes == grid_bytes
+
+    def test_load_series_holds_no_copy_of_the_text(self):
+        # One io.StringIO over the text holds it at four bytes a character.
+        g, _ = generate_synthetic(SynthConfig(branching=4, height=3, n_steps=1))
+        text = make_series_text(g, 4000)                                # 2.8 MiB
+        store, peak = traced_peak(load_series, text, g)
+        assert peak < 4.5 * len(text)      # measured 3.0 texts; 7.3 with one buffer
+        assert store.n_steps == 4000
+
+    def test_train_and_evaluate_never_build_the_windows(self):
+        g, store = generate_synthetic(SynthConfig(branching=2, height=2, n_steps=120, noise_std=0.1))
+        dims = Dims(window=6, embedding=2, horizon=2)
+        train_set, test_set, stats = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        cfg = TrainConfig(epochs=2, batch_size=16)
+        for p, fit in [(init_hydronet(g, dims, 0), train), (init_flat(g, "b0", 2, dims, 0), train_flat)]:
+            evaluate(fit(p, train_set, cfg).params, test_set, stats)
+        assert "features" not in vars(train_set) and "features" not in vars(test_set)
+        assert set(test_set.features) == set(g.basin_ids) and "features" in vars(test_set)
 
 
 class TestPrepareDatasets:

@@ -105,13 +105,13 @@ def single_basin_examples(n=6):
     g = tree_from_parents([])
     rng = np.random.default_rng(3)
     level = rng.standard_normal(n).cumsum() + 5.0
-    feats = np.zeros((n, 1, 2))
-    feats[:, 0, 1] = level
+    grid = np.zeros((n, 1, 2))
+    grid[:, 0, 1] = level
     labels = level + rng.standard_normal(n) * 0.1
     return g, ExampleSet(
         graph=g, window=1, horizon=1, d_x=2,
         anchors=np.arange(n),
-        features={"b0": feats},
+        grid=grid,
         labels={"b0": labels},
         persist={"b0": level},
     )
@@ -139,9 +139,9 @@ class TestEvaluate:
         exact = ExampleSet(
             graph=g, window=1, horizon=1, d_x=2,
             anchors=examples.anchors,
-            features=examples.features,
-            labels={"b0": examples.features["b0"][:, 0, 1]},
-            persist={"b0": examples.features["b0"][:, 0, 1] - 0.5},
+            grid=examples.grid,
+            labels={"b0": examples.grid[:, 0, 1]},
+            persist={"b0": examples.grid[:, 0, 1] - 0.5},
         )
         score = evaluate(p, exact).scores[0]
         assert score.mse == 0.0 and score.r2 == 1.0 and score.r2_persist == 1.0
@@ -153,8 +153,8 @@ class TestEvaluate:
         n = 8
         examples = ExampleSet(
             graph=fork_graph, window=2, horizon=1, d_x=2,
-            anchors=np.arange(n),
-            features={b: rng.standard_normal((n, 2, 2)) for b in fork_graph.basin_ids},
+            anchors=np.arange(1, n + 1),
+            grid=rng.standard_normal((n + 1, 4, 2)),
             labels={b: rng.standard_normal(n) for b in fork_graph.basin_ids},
             persist={b: rng.standard_normal(n) for b in fork_graph.basin_ids},
         )
@@ -173,8 +173,8 @@ class TestEvaluate:
         n = int(rng.integers(2, 10))
         examples = ExampleSet(
             graph=g, window=window, horizon=1, d_x=2,
-            anchors=np.arange(n),
-            features={b: rng.standard_normal((n, window, 2)) for b in g.basin_ids},
+            anchors=np.arange(window - 1, n + window - 1),
+            grid=rng.standard_normal((n + window - 1, len(g.basin_ids), 2)),
             labels={b: rng.standard_normal(n) for b in g.basin_ids},
             persist={b: rng.standard_normal(n) for b in g.basin_ids},
         )
@@ -201,8 +201,8 @@ class TestEvaluate:
         p = init_hydronet(fork_graph, Dims(window=2, embedding=2, horizon=1), 0)
         examples = ExampleSet(
             graph=fork_graph, window=3, horizon=1, d_x=2,
-            anchors=np.arange(4),
-            features={b: np.zeros((4, 3, 2)) for b in fork_graph.basin_ids},
+            anchors=np.arange(2, 6),
+            grid=np.zeros((6, 4, 2)),
             labels={b: np.arange(4.0) for b in fork_graph.basin_ids},
             persist={b: np.zeros(4) for b in fork_graph.basin_ids},
         )

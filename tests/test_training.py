@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hydronets.data import generate_synthetic, prepare_datasets, SynthConfig
+from hydronets.data import ExampleSet, generate_synthetic, prepare_datasets, SynthConfig
 from hydronets.errors import HydroNetsError
 from hydronets.region import drain_of
 from hydronets.model import (
     Dims,
     FlatLinearParams,
+    as_batch,
     fold,
     forward_batch,
     forward_flat_batch,
     init_flat,
     init_hydronet,
     param_count,
-    predict,
     probe_batch,
 )
 from hydronets.training import (
@@ -37,6 +37,10 @@ from conftest import random_trees, tree_from_parents
 
 def rel_err(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+
+
+def filters(p):
+    return fold(p, forward_batch(p, probe_batch(p.graph, p.dims))[1])
 
 
 def random_batch(g, dims, rng, batch=4):
@@ -93,7 +97,7 @@ class TestBackwardHydronet:
         p = init_hydronet(chain2, dims, 1)
         rng = np.random.default_rng(1)
         feats = {b: rng.standard_normal((3, 2, 2)) for b in chain2.basin_ids}
-        preds = predict(p, feats)
+        preds = dict(zip(chain2.basin_ids, filters(p).apply(as_batch(chain2.basin_ids, dims, feats)).T))
         w = LossWeights.uniform(chain2.basin_ids)
         loss, grad = backward_hydronet(p, feats, preds, w)
         assert loss == 0.0
@@ -187,11 +191,20 @@ class TestFold:
     @settings(max_examples=150, deadline=None)
     @given(folding_cases())
     def test_predict_matches_forward(self, case):
+        # Through the filters both ways: on the stacked batch, and lag by
+        # lag on a grid that lays the batch's windows end to end.
         p, feats, _, _ = case
+        ids, t, d_x = p.graph.basin_ids, p.dims.window, p.dims.channels
         preds = forward_batch(p, feats)[2]
-        folded = predict(p, feats)
-        for bid in p.graph.basin_ids:
-            assert rel_err(folded[bid], preds[bid]).max() < 1e-12
+        f = filters(p)
+        x = as_batch(ids, p.dims, feats)
+        examples = ExampleSet(
+            graph=p.graph, window=t, horizon=1, d_x=d_x, anchors=np.arange(len(x)) * t + t - 1,
+            grid=x.reshape(-1, len(ids), d_x), labels={}, persist={},
+        )
+        for folded in (f.apply(x), examples.lagged_dot(slice(None), f.weights) + f.bias):
+            for i, bid in enumerate(ids):
+                assert rel_err(folded[:, i], preds[bid]).max() < 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(folding_cases())
@@ -219,13 +232,14 @@ class TestFold:
         dims = Dims(window=3, embedding=2, horizon=1)
         p = init_hydronet(fork_graph, dims, 5)
         p = p.unpack(p.pack() + np.random.default_rng(5).standard_normal(param_count(p)))
-        f = fold(p, forward_batch(p, probe_batch(fork_graph, dims))[1])
+        f = filters(p)
         ids = fork_graph.basin_ids
         subtree = {"b1": {"b1"}, "b2": {"b2"}, "b3": {"b1", "b2", "b3"}, "b4": set(ids)}
+        weights = f.weights.reshape(dims.window, len(ids), dims.channels, len(ids))
         for i, bid in enumerate(ids):
             for m, src in enumerate(ids):
                 block = f.response[i, m * dims.channels : (m + 1) * dims.channels]
-                window = f.weights[m, :, i]
+                window = weights[:, m, :, i]
                 if src in subtree[bid]:
                     assert np.any(block != 0.0) and np.any(window != 0.0)
                 else:
@@ -346,11 +360,10 @@ class TestTrain:
             target="b0", included=("b0",), dims=dims,
             weights=np.array([0.2]), bias=0.1,
         )
-        from hydronets.data import ExampleSet
         examples = ExampleSet(
             graph=g, window=1, horizon=1, d_x=1,
             anchors=np.array([0]),
-            features={"b0": np.array([[[x]]])},
+            grid=np.array([[[x]]]),
             labels={"b0": np.array([y])},
             persist={"b0": np.array([0.0])},
         )
@@ -372,12 +385,11 @@ class TestTrain:
     def test_flat_bias_converges_to_constant_labels(self):
         g = tree_from_parents([])
         dims = Dims(window=2, embedding=1, horizon=1)
-        from hydronets.data import ExampleSet
         n = 16
         examples = ExampleSet(
             graph=g, window=2, horizon=1, d_x=2,
-            anchors=np.arange(n),
-            features={"b0": np.zeros((n, 2, 2))},
+            anchors=np.arange(1, n + 1),
+            grid=np.zeros((n + 1, 1, 2)),
             labels={"b0": np.full(n, 4.0)},
             persist={"b0": np.zeros(n)},
         )
