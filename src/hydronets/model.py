@@ -9,8 +9,13 @@ Region sources have no combiner: their combined input is zero, which keeps
 the shared model's input width uniform.
 
 :func:`forward_batch` evaluates that structure at every step of every
-window. Since all three sub-models are affine, each forecast is also an
-affine filter over the windows of the basins that drain into its basin;
+window, one tree level at a time (a source is level 0, any other basin
+one above its highest source), each level in a fixed number of numpy
+calls: one batched matmul through the (K, K) combiner block of every
+source of its basins, a sum per basin, and one shared-map matmul.
+
+Since all three sub-models are affine, each forecast is also an affine
+filter over the windows of the basins that drain into its basin;
 :func:`fold` reads those :class:`Filters` off one :func:`forward_batch`
 over the unit-impulse :func:`probe_batch`. Their weights form one
 (T * n * d_x, n) matrix, lag-major like a gathered minibatch, so a batch's
@@ -240,26 +245,107 @@ def forward_batch(
     """Evaluate the tree on a batch: ``features[basin]`` is (B, T, d_x).
 
     Returns (combined, embeddings, preds) keyed by basin in topological
-    order, shapes (B, T, K), (B, T, K), (B,).
+    order, shapes (B, T, K), (B, T, K), (B,). The values are views of
+    arrays over all basins, which the tree fills one level at a time.
     """
-    batch = check_features(p.graph.basin_ids, p.dims, features)
-    t, k = p.dims.window, p.dims.embedding
-    combined: dict[str, np.ndarray] = {}
-    embeddings: dict[str, np.ndarray] = {}
-    preds: dict[str, np.ndarray] = {}
-    for bid in p.graph.topo_order:
-        srcs = p.graph.upstream[bid]
-        if srcs:
-            stacked = np.concatenate([embeddings[j] for j in srcs], axis=2)
-            c = stacked @ p.combiner_w[bid].T + p.combiner_b[bid]
-        else:
-            c = np.zeros((batch, t, k))
-        combined[bid] = c
-        u = np.concatenate([features[bid], c], axis=2)
-        e = u @ p.shared_w.T + p.shared_b
-        embeddings[bid] = e
-        preds[bid] = e.reshape(batch, t * k) @ p.head_w[bid] + p.head_b[bid]
-    return combined, embeddings, preds
+    ids = p.graph.basin_ids
+    batch = check_features(ids, p.dims, features)
+    n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
+    plan = _levels(p.graph)
+    # One row per step of every window. Embeddings start as the shared
+    # map of the features alone; row n is the zero padding source.
+    rows = batch * t
+    x = np.concatenate([features[bid] for bid in ids]).reshape(n, rows, d_x)
+    e = np.zeros((n + 1, rows, k))
+    e[:n] = x @ p.shared_w[:, :d_x].T + p.shared_b
+    c = np.zeros((n, rows, k))
+    w_c, b_c = _combiners(p, plan.combined)
+    w_c, w_sc = w_c.transpose(0, 2, 1), p.shared_w[:, d_x:].T
+    for lv in plan.levels:
+        flow = e[lv.sources] @ w_c[lv.edges]                             # (basins * width, rows, K)
+        c_lv = flow.reshape(len(lv.basins), lv.width, rows, k).sum(axis=1) + b_c[lv.combiners, None]
+        c[lv.basins] = c_lv
+        e[lv.basins] += c_lv @ w_sc
+    heads = np.concatenate([p.head_w[bid] for bid in ids]).reshape(n, t * k, 1)
+    head_b = np.array([p.head_b[bid] for bid in ids])[:, None]
+    preds = (e[:n].reshape(n, batch, t * k) @ heads)[:, :, 0] + head_b
+    c, e = c.reshape(n, batch, t, k), e[:n].reshape(n, batch, t, k)
+    order = plan.topo_rows
+    return ({b: c[m] for b, m in order}, {b: e[m] for b, m in order}, {b: preds[m] for b, m in order})
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The basins (indices into ``basin_ids``) of one level above the
+    sources. ``sources`` and ``edges`` (rows of the :func:`_combiners`
+    stack) list ``width`` inputs per basin, the level's most, padded with
+    the zero source ``n`` through the stack's zero last block;
+    ``combiners`` slices its biases."""
+
+    basins: np.ndarray
+    combiners: slice
+    width: int
+    sources: np.ndarray
+    edges: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The levels bottom up, the basins with a combiner in stack order
+    and each one's slice of the edges, and ``(basin, index)`` in
+    topological order."""
+
+    levels: tuple[_Level, ...]
+    combined: tuple[str, ...]
+    inputs: tuple[slice, ...]
+    topo_rows: tuple[tuple[str, int], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _levels(g: RegionGraph) -> _Plan:
+    """The tree of ``g`` level by level, for :func:`forward_batch` and the
+    reverse sweep in :func:`~hydronets.training.backward_hydronet`.
+    Cached per graph; the index arrays are shared and must not be written."""
+    ids = g.basin_ids
+    index = {bid: m for m, bid in enumerate(ids)}
+    level: dict[str, int] = {}
+    for bid in g.topo_order:
+        level[bid] = 1 + max((level[j] for j in g.upstream[bid]), default=-1)
+    groups: list[list[str]] = [[] for _ in range(max(level.values()))]
+    for bid in ids:
+        if level[bid]:
+            groups[level[bid] - 1].append(bid)
+    combined = tuple(bid for group in groups for bid in group)
+    ends = list(itertools.accumulate(len(g.upstream[bid]) for bid in combined))
+    inputs = tuple(map(slice, [0, *ends], ends))
+    span = dict(zip(combined, inputs))
+    levels = []
+    for group in groups:
+        width = max(len(g.upstream[bid]) for bid in group)
+        sources, edges = [], []
+        for bid in group:
+            pad = width - len(g.upstream[bid])
+            sources += [index[j] for j in g.upstream[bid]] + [len(ids)] * pad
+            edges += [*range(span[bid].start, span[bid].stop)] + [ends[-1]] * pad
+        first = combined.index(group[0])
+        levels.append(_Level(
+            basins=np.array([index[bid] for bid in group]),
+            combiners=slice(first, first + len(group)),
+            width=width,
+            sources=np.array(sources),
+            edges=np.array(edges),
+        ))
+    return _Plan(tuple(levels), combined, inputs, tuple((bid, index[bid]) for bid in g.topo_order))
+
+
+def _combiners(p: HydroNetParams, combined: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, K) block of every combiner input, (edges + 1, K, K) in edge
+    order with a zero block last, and the combiner biases, (basins, K),
+    for the basins of ``combined`` in that order."""
+    k = p.dims.embedding
+    w = np.concatenate([*(p.combiner_w[bid] for bid in combined), np.zeros((k, k))], axis=1)
+    b = np.array([p.combiner_b[bid] for bid in combined]).reshape(-1, k)
+    return w.reshape(k, -1, k).transpose(1, 0, 2), b
 
 
 @functools.lru_cache(maxsize=64)
@@ -329,13 +415,16 @@ def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> Filters:
     on :func:`probe_batch`. Exact, because every sub-model is affine."""
     ids = p.graph.basin_ids
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
-    e = np.stack([embeddings[bid].reshape(-1, k) for bid in ids])        # (n, slots, K)
+    e = np.concatenate([embeddings[bid] for bid in ids]).reshape(n, -1, k)  # (n, slots, K)
     zero = e[:, 0]
     inside = _inside(p.graph, d_x)
     response = np.where(inside, e[:, 1 : 1 + n * d_x] - zero[:, None], 0.0)
-    heads = np.stack([p.head_w[bid].reshape(t, k) for bid in ids])
-    per_step = heads @ response.transpose(0, 2, 1)                       # (n_i, T, n_m * d_x)
-    weights = per_step.transpose(1, 2, 0).reshape(t * n * d_x, n)
+    heads = np.concatenate([p.head_w[bid] for bid in ids]).reshape(n, t, k)
+    # Written straight into the C-ordered weights the batch matmuls read
+    # fastest: a transposed copy cost 2 ms more at 63 basins.
+    weights = np.empty((t, n * d_x, n))
+    np.matmul(heads, response.transpose(0, 2, 1), out=weights.transpose(2, 0, 1))
+    weights = weights.reshape(t * n * d_x, n)
     bias = np.sum(heads.sum(axis=1) * zero, axis=1) + np.array([p.head_b[bid] for bid in ids])
     return Filters(ids, zero, response, inside, heads, weights, bias)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,6 +86,19 @@ class RegionGraph:
     def __contains__(self, basin_id: str) -> bool:
         return basin_id in self.basin_by_id
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash equal graphs share, computed once: the caches keyed by
+        a graph look it up on every training step."""
+        return hash((self.basins, self.edges))
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a copy recomputes its own.
+        return {"basins": self.basins, "edges": self.edges}
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -110,8 +124,9 @@ def parse_region(text: str) -> RegionGraph:
 
     Echoes the declared structure exactly; tree invariants are checked by
     :func:`validate`, not here. Raises on malformed syntax (ids with
-    leading or trailing whitespace included), duplicate ids, edges naming
-    unknown basins, unknown fields, and empty basin lists.
+    leading or trailing whitespace and non-finite ``static`` numbers
+    included), duplicate ids, edges naming unknown basins, unknown fields,
+    and empty basin lists.
     """
     doc = parse_json(text, "syntax-error")
     if not isinstance(doc, dict):
@@ -149,10 +164,9 @@ def parse_region(text: str) -> RegionGraph:
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in static
             ):
                 raise HydroNetsError("syntax-error", f"basin {bid!r} 'static' must be a number array")
-            try:
-                static = tuple(float(v) for v in static)
-            except OverflowError:
-                raise HydroNetsError("syntax-error", f"basin {bid!r} 'static' has a number too large") from None
+            if not all(abs(v) <= sys.float_info.max for v in static):  # NaN, infinities, huge integers
+                raise HydroNetsError("syntax-error", f"basin {bid!r} 'static' must hold finite numbers")
+            static = tuple(float(v) for v in static)
         basins.append(Basin(id=bid, name=name, static_features=static))
 
     edges: list[tuple[str, str]] = []

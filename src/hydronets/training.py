@@ -6,10 +6,15 @@ batch meets the model only through the folded per-basin filters
 respect to the filters, are one matmul each against the batch's windows,
 gathered from the example set's grid in one index. The filter gradient
 then seeds reverse-mode accumulation over the region graph on
-the small probe batch the filters were read from: basins are processed
-drain-first so each basin's embedding gradient already includes the
-contribution routed back through every downstream combiner. The flat
-baseline is ordinary linear least squares machinery.
+the small probe batch the filters were read from. The sweep runs one tree
+level at a time, drain-first, so each basin's embedding gradient already
+includes the contribution routed back through every downstream combiner
+when its own level is reached. A level is a fixed number of numpy calls:
+the combined-input gradients of its basins, one batched matmul for the
+combiner blocks of every source feeding them, and one indexed add of the
+routed gradient into those sources. The shared map's gradient is one
+matmul over all basins after the sweep. The flat baseline is ordinary
+linear least squares machinery.
 
 Both model kinds train in one minibatch loop on the packed parameter
 vector; :func:`train` and :func:`train_flat` only supply its batch loss
@@ -29,7 +34,8 @@ from .errors import HydroNetsError
 from .model import (
     FlatLinearParams,
     HydroNetParams,
-    _packing,
+    _combiners,
+    _levels,
     as_batch,
     flat_design_matrix,
     fold,
@@ -110,9 +116,9 @@ def backward_hydronet(
 
     The batch's forecasts and the gradient with respect to the folded
     filters are one matmul each against its windows; the tree itself is
-    evaluated, and swept in reverse, only on the probe batch. The
-    gradient is returned in a parameter-shaped container so it packs
-    with the same layout as the parameters themselves.
+    evaluated, and swept in reverse one level at a time, only on the probe
+    batch. The gradient is returned in a parameter-shaped container so it
+    packs with the same layout as the parameters themselves.
     """
     ids = p.graph.basin_ids
     x = as_batch(ids, p.dims, features)
@@ -122,53 +128,56 @@ def backward_hydronet(
     combined, embeddings, _ = forward_batch(p, probe)
     f = fold(p, embeddings)
     preds = f.apply(x)                                                   # (B, n)
-    loss = weighted_mse_loss(dict(zip(ids, preds.T)), labels, w)
+    err = preds - np.array([labels[bid] for bid in ids]).T
+    g_pred = err * (2.0 / batch * np.array([w.weights.get(bid, 0.0) for bid in ids]))
+    loss = 0.5 * float(np.vdot(err, g_pred))         # sum_i w_i * mean_b err_bi^2
 
-    g_pred = np.zeros_like(preds)
-    for i, bid in enumerate(ids):
-        weight = w.weights.get(bid, 0.0)
-        if weight:
-            g_pred[:, i] = 2.0 * weight * (preds[:, i] - labels[bid]) / batch
-
-    # Filter gradients, regrouped from (lag, input) rows to one
-    # (T, n * d_x) block per forecast basin, then through the fold:
-    # weights_i = H_i @ R_i^T and bias_i = sum_t H_i[t] . q_i + head_b_i.
-    g_w = x.reshape(batch, -1).T @ g_pred                               # (T * n * d_x, n)
-    g_f = g_w.reshape(t, n * d_x, n).transpose(2, 0, 1)
+    # Filter gradients, one (T, n * d_x) block per forecast basin, then
+    # through the fold: weights_i = H_i @ R_i^T and
+    # bias_i = sum_t H_i[t] . q_i + head_b_i.
+    g_f = (g_pred.T @ x.reshape(batch, -1)).reshape(n, t, n * d_x)
     g_bias = g_pred.sum(axis=0)                                          # (n,)
     g_heads = g_f @ f.response + g_bias[:, None, None] * f.zero[:, None, :]
     g_response = np.where(f.inside, g_f.transpose(0, 2, 1) @ f.heads, 0.0)
 
-    grad = p.unpack(np.zeros(_packing(p.graph, p.dims)[2]))
-    for i, bid in enumerate(ids):
-        grad.head_w[bid] = g_heads[i].reshape(t * k)
-        grad.head_b[bid] = float(g_bias[i])
-
     # dL/dE_i on the probe: R_i is E_i at the impulse slots minus E_i at
-    # slot 0, and q_i is E_i at slot 0.
-    seeds = np.zeros((n, len(probe[ids[0]]) * t, k))
-    seeds[:, 1 : 1 + n * d_x] = g_response
-    seeds[:, 0] = g_bias[:, None] * f.heads.sum(axis=1) - g_response.sum(axis=1)
-    # dL/dE_i accumulates its seed plus anything routed back from
-    # downstream combiners, hence the reverse topological sweep.
-    g_emb = {bid: seeds[i].reshape(-1, t, k) for i, bid in enumerate(ids)}
+    # slot 0, and q_i is E_i at slot 0. Row n is the zero source that pads
+    # each level (see model._levels); what is routed to it is dropped.
+    e = np.concatenate([*(embeddings[bid] for bid in ids), np.zeros_like(embeddings[ids[0]])])
+    e = e.reshape(n + 1, -1, k)                                          # (n + 1, slots, K)
+    g_e = np.zeros_like(e)
+    g_e[:n, 1 : 1 + n * d_x] = g_response
+    g_e[:n, 0] = g_bias[:, None] * f.heads.sum(axis=1) - g_response.sum(axis=1)
+    # dL/dE_i accumulates its seed plus anything routed back from the
+    # combiner it feeds, so levels run drain-first. A tree has no repeated
+    # source, so the indexed add below is safe outside the padding row.
+    plan = _levels(p.graph)
+    w_c, _ = _combiners(p, plan.combined)
+    g_wc, g_bc = np.empty_like(w_c), np.empty((len(plan.combined), k))
+    w_sc = p.shared_w[:, d_x:]
+    for lv in reversed(plan.levels):
+        g_c = g_e[lv.basins] @ w_sc                                      # (basins, slots, K)
+        g_bc[lv.combiners] = g_c.sum(axis=1)
+        g_flow = np.repeat(g_c, lv.width, axis=0)                        # (basins * width, slots, K)
+        g_wc[lv.edges] = g_flow.transpose(0, 2, 1) @ e[lv.sources]
+        g_e[lv.sources] += g_flow @ w_c[lv.edges]
+    g_e = g_e[:n]
 
-    for bid in reversed(p.graph.topo_order):
-        g_e = g_emb[bid]
-        u = np.concatenate([probe[bid], combined[bid]], axis=2)          # (P, T, d_x+K)
-        grad.shared_w += np.einsum("btk,btu->ku", g_e, u)
-        grad.shared_b += g_e.sum(axis=(0, 1))
-        g_c = g_e @ p.shared_w[:, d_x:]                                  # (P, T, K)
-
-        srcs = p.graph.upstream[bid]
-        if srcs:
-            stacked = np.concatenate([embeddings[j] for j in srcs], axis=2)
-            grad.combiner_w[bid] += np.einsum("btk,btv->kv", g_c, stacked)
-            grad.combiner_b[bid] += g_c.sum(axis=(0, 1))
-            g_stacked = g_c @ p.combiner_w[bid]                          # (P, T, |S|*K)
-            for idx, j in enumerate(srcs):
-                g_emb[j] += g_stacked[:, :, idx * k : (idx + 1) * k]
-
+    u = np.concatenate([                                                 # the shared map's input
+        np.concatenate([probe[bid] for bid in ids]).reshape(n, -1, d_x),
+        np.concatenate([combined[bid] for bid in ids]).reshape(n, -1, k),
+    ], axis=2)
+    g_wc = np.ascontiguousarray(g_wc[:-1].transpose(1, 0, 2))            # (K, edges, K)
+    grad = HydroNetParams(
+        graph=p.graph,
+        dims=p.dims,
+        shared_w=g_e.reshape(-1, k).T @ u.reshape(-1, d_x + k),
+        shared_b=g_e.sum(axis=(0, 1)),
+        combiner_w={bid: g_wc[:, edges].reshape(k, -1) for bid, edges in zip(plan.combined, plan.inputs)},
+        combiner_b=dict(zip(plan.combined, g_bc)),
+        head_w=dict(zip(ids, g_heads.reshape(n, t * k))),
+        head_b=dict(zip(ids, g_bias.tolist())),
+    )
     return loss, grad
 
 

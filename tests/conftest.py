@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -86,3 +87,25 @@ def random_trees(draw, min_basins=1, max_basins=9):
     n = draw(st.integers(min_basins, max_basins))
     parents = [draw(st.integers(0, i)) for i in range(n - 1)]
     return tree_from_parents(parents)
+
+
+def reference_forward_batch(p, features):
+    """The tree evaluated one basin at a time in topological order, each
+    combiner on its sources' concatenated embeddings: the oracle for the
+    level-at-a-time :func:`hydronets.model.forward_batch`."""
+    batch = next(iter(features.values())).shape[0]
+    t, k = p.dims.window, p.dims.embedding
+    combined, embeddings, preds = {}, {}, {}
+    for bid in p.graph.topo_order:
+        srcs = p.graph.upstream[bid]
+        if srcs:
+            stacked = np.concatenate([embeddings[j] for j in srcs], axis=2)
+            c = stacked @ p.combiner_w[bid].T + p.combiner_b[bid]
+        else:
+            c = np.zeros((batch, t, k))
+        combined[bid] = c
+        u = np.concatenate([features[bid], c], axis=2)
+        e = u @ p.shared_w.T + p.shared_b
+        embeddings[bid] = e
+        preds[bid] = e.reshape(batch, t * k) @ p.head_w[bid] + p.head_b[bid]
+    return combined, embeddings, preds

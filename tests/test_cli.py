@@ -4,7 +4,7 @@ import contextlib
 import copy
 import io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +16,11 @@ import hydronets.cli
 from hydronets.cli import main
 from hydronets.codec import from_doc
 from hydronets.data import SynthConfig, generate_synthetic, load_series
+from hydronets.errors import HydroNetsError
 from hydronets.experiments import ExperimentConfig
 from hydronets.model import init_flat, init_hydronet, load_checkpoint, save_checkpoint, Dims
 from hydronets.presets import chain_fixture, tree_fixture
-from hydronets.region import drain_of, dump_region, parse_region
+from hydronets.region import RegionGraph, drain_of, dump_region, parse_region
 
 from conftest import make_series_text, run_python
 
@@ -451,6 +452,105 @@ class TestCheckpointFuzz:
         else:
             assert code == 2 and "Traceback" not in err, err
             assert err.split(":")[0] in CHECKPOINT_CODES, err
+
+
+# Codes ``hydronets validate`` reports for a region file (README, File formats).
+REGION_CODES = (
+    "syntax-error", "unknown-field", "empty-region", "duplicate-id", "unknown-edge-endpoint",
+    "multiple-out-edges", "no-drain", "multiple-drains", "cycle-detected", "not-connected",
+)
+ODD_IDS = ["b0 ", " b0", "\tb0", "", "zz", "\ud800", "b0,x", 0, None, True, ["b0"], {"id": "b0"}]
+DEEP = "<deep>"
+
+
+@st.composite
+def mutated_regions(draw, doc):
+    """Region file text: ``doc`` with one to three edits."""
+    doc = copy.deepcopy(doc)
+    deep = None
+    for _ in range(draw(st.integers(1, 3))):
+        basins = doc.get("basins") if isinstance(doc.get("basins"), list) else []
+        edges = doc.get("edges") if isinstance(doc.get("edges"), list) else []
+        entries = [b for b in basins if isinstance(b, dict)]
+        ids = [b.get("id") for b in entries]
+        paths = list(_paths(doc))
+        edit = draw(st.sampled_from([
+            "drop", "drop-item", "duplicate", "id", "field", "type", "edge", "repeat-edge", "reverse-edge",
+            "static", "deep",
+        ]))
+        if edit == "drop" and paths:
+            path = draw(st.sampled_from(paths))
+            del _at(doc, path[:-1])[path[-1]]
+        elif edit == "drop-item" and basins + edges:  # a whole basin or edge
+            items = draw(st.sampled_from([x for x in (basins, edges) if x]))
+            del items[draw(st.integers(0, len(items) - 1))]
+        elif edit == "duplicate" and basins:
+            entry = draw(st.sampled_from(basins))
+            basins.insert(draw(st.integers(0, len(basins))), copy.deepcopy(entry))
+        elif edit == "id" and entries:
+            draw(st.sampled_from(entries))["id"] = draw(st.sampled_from(ODD_IDS + ids))
+        elif edit == "field":
+            draw(st.sampled_from([doc, *entries]))[draw(st.sampled_from(["color", "Id", "static"]))] = 1
+        elif edit == "type" and paths:
+            path = draw(st.sampled_from(paths))
+            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(ODD_VALUES + ["x", {}, [1, 2]]))
+        elif edit == "edge" and isinstance(doc.get("edges"), list):
+            src = draw(st.sampled_from(ids + ODD_IDS))
+            dst = draw(st.sampled_from([src] + ids + ODD_IDS))  # a self edge first
+            edges.append([src, dst])
+        elif edit == "repeat-edge" and edges:
+            edges.append(copy.deepcopy(draw(st.sampled_from(edges))))
+        elif edit == "reverse-edge" and edges:  # a cycle, or a second way out
+            edge = draw(st.sampled_from(edges))
+            edges.append(edge[::-1] if isinstance(edge, list) else edge)
+        elif edit == "static" and entries:
+            entry = draw(st.sampled_from(entries))
+            entry["static"] = draw(st.lists(st.sampled_from(ODD_VALUES + [1e308, -2.5]), max_size=3))
+        elif edit == "deep" and paths:
+            path = draw(st.sampled_from(paths))
+            _at(doc, path[:-1])[path[-1]] = DEEP
+            deep = draw(st.sampled_from([3, 100, 100_000]))
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+    if deep:
+        text = text.replace(json.dumps(DEEP), "[" * deep + "]" * deep)
+    return text
+
+
+class TestRegionFuzz:
+    """Every mutated region file either fails ``validate`` with a region
+    code and no traceback, or parses to a graph that writes back to the
+    same text; a region that parses but is not a tree still writes back."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        g, _ = generate_synthetic(SynthConfig(branching=2, height=3, n_steps=10, seed=3))
+        g = RegionGraph(basins=(*g.basins[:-1], replace(g.basins[-1], static_features=(0.5, 2.0))), edges=g.edges)
+        return tmp_path_factory.mktemp("fuzz") / "region.json", json.loads(dump_region(g))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_regions(self, inputs, data):
+        path, doc = inputs
+        text = data.draw(mutated_regions(doc))
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err, err
+        if code == 0:
+            assert out.startswith("ok: ")
+        else:
+            assert code in (1, 2), (code, out, err)
+            lines = (out if code == 1 else err).splitlines()
+            assert lines and all(line.split(":")[0] in REGION_CODES for line in lines), (out, err)
+        try:
+            g = parse_region(text)
+        except HydroNetsError:
+            assert code != 0
+            return
+        written = dump_region(g)
+        assert dump_region(parse_region(written)) == written
 
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))

@@ -27,7 +27,7 @@ from hydronets.model import (
 )
 from hydronets.region import Basin, RegionGraph, prune_to_depth
 
-from conftest import random_trees, tree_from_parents
+from conftest import random_trees, reference_forward_batch, tree_from_parents
 
 
 def hand_params(chain2):
@@ -59,6 +59,35 @@ def example_for(g, dims, rng=None, fill=None):
 def batch_of(ex):
     """``ex``'s features as a batch of one example."""
     return {b: x[None] for b, x in ex.features.items()}
+
+
+def chains(max_basins=9):
+    """Chains of one to ``max_basins`` basins: one basin per level."""
+    return st.integers(1, max_basins).map(lambda n: tree_from_parents(list(range(n - 1))))
+
+
+class TestForwardBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(random_trees(max_basins=15), chains(), st.just(tree_from_parents([]))),
+        st.integers(1, 9), st.integers(1, 5), st.integers(1, 3), st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_basin_by_basin_reference(self, g, window, embedding, channels, batch, seed):
+        # Non-zero biases, so each combiner's and the shared map's offsets
+        # enter every level.
+        dims = Dims(window=window, embedding=embedding, horizon=1, channels=channels)
+        rng = np.random.default_rng(seed)
+        p = init_hydronet(g, dims, seed)
+        p = p.unpack(p.pack() + 0.5 * rng.standard_normal(param_count(p)))
+        feats = {b: rng.standard_normal((batch, window, channels)) for b in g.basin_ids}
+        got, want = forward_batch(p, feats), reference_forward_batch(p, feats)
+        for part, ref in zip(got, want):
+            assert list(part) == list(ref) == list(g.topo_order)
+            for bid, value in part.items():
+                assert value.shape == ref[bid].shape
+                scale = max(1.0, float(np.abs(ref[bid]).max()))
+                assert np.abs(value - ref[bid]).max() <= 1e-12 * scale
 
 
 class TestForwardHydronet:

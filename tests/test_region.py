@@ -1,6 +1,7 @@
 """Region graph parsing, validation, and transforms."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given
@@ -65,6 +66,10 @@ class TestParse:
             "[" * 100000,
             "1" * 5000,
             '{"basins": [{"id": "b1", "name": "x", "static": [' + "9" * 400 + ']}], "edges": []}',
+            *(
+                '{"basins": [{"id": "b1", "name": "x", "static": [1.0, %s]}], "edges": []}' % number
+                for number in ("NaN", "Infinity", "-Infinity", "1e400")
+            ),
         ]
         for text in texts:
             with pytest.raises(HydroNetsError, match="syntax-error"):
@@ -218,3 +223,25 @@ class TestQueries:
         done = run_python(["-c", script, dump_region(cycle_into_outlet)])
         assert done.returncode == 1
         assert done.stderr.splitlines()[-1].startswith("hydronets.errors.HydroNetsError: invalid-graph: ")
+
+
+class TestHash:
+    def test_equal_graphs_hash_equal(self, fork_graph):
+        same = parse_region(dump_region(fork_graph))
+        other = RegionGraph(basins=fork_graph.basins, edges=fork_graph.edges[:-1])
+        assert same is not fork_graph and same == fork_graph
+        assert hash(same) == hash(fork_graph) == hash((fork_graph.basins, fork_graph.edges))
+        assert len({fork_graph, same, other}) == 2
+
+    def test_unpickled_graph_hashes_in_its_own_process(self, fork_graph):
+        # String hashes differ between processes: a graph must not carry
+        # the hash cached where it was pickled.
+        hash(fork_graph)
+        script = (
+            "import pickle, sys\n"
+            "from hydronets.region import dump_region, parse_region\n"
+            "g = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "assert hash(g) == hash(parse_region(dump_region(g)))\n"
+        )
+        done = run_python(["-c", script, pickle.dumps(fork_graph).hex()])
+        assert done.returncode == 0, done.stderr

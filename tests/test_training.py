@@ -32,7 +32,7 @@ from hydronets.training import (
     weighted_mse_loss,
 )
 
-from conftest import random_trees, tree_from_parents
+from conftest import random_trees, reference_forward_batch, tree_from_parents
 
 
 def rel_err(a, b):
@@ -137,8 +137,9 @@ class TestBackwardHydronet:
 
 def reference_backward(p, features, labels, w):
     """Loss and gradient by the reverse sweep over every step of every
-    window of the batch: the oracle for the folded backward pass."""
-    combined, embeddings, preds = forward_batch(p, features)
+    window of the batch, after the basin-by-basin forward pass: the oracle
+    for the folded, level-at-a-time backward pass."""
+    combined, embeddings, preds = reference_forward_batch(p, features)
     loss = weighted_mse_loss(preds, labels, w)
     t, k, d_x = p.dims.window, p.dims.embedding, p.dims.channels
     batch = next(iter(features.values())).shape[0]
@@ -195,7 +196,7 @@ class TestFold:
         # lag on a grid that lays the batch's windows end to end.
         p, feats, _, _ = case
         ids, t, d_x = p.graph.basin_ids, p.dims.window, p.dims.channels
-        preds = forward_batch(p, feats)[2]
+        preds = reference_forward_batch(p, feats)[2]
         f = filters(p)
         x = as_batch(ids, p.dims, feats)
         examples = ExampleSet(
