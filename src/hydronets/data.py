@@ -217,7 +217,10 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     """
     reader = csv.reader(itertools.chain.from_iterable(map(io.StringIO, _pieces(text))))
     index = {bid: i for i, bid in enumerate(g.basin_ids)}
-    parts = []
+    # Every record takes a line or more, so the columns can fill in place.
+    bound = text.count("\n") + 1
+    ts, basin, readings = np.empty(bound, np.int64), np.empty(bound, np.intp), np.empty((bound, D_X))
+    rows = 0
     try:
         header = next(reader, None)
         if header is None:
@@ -227,14 +230,15 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
         first_line = 2
         while batch := list(itertools.islice(reader, _BATCH)):
             if records := list(filter(None, batch)):                # blank lines give []
-                parts.append(_columns(records, batch, first_line, index))
+                end = rows + len(records)
+                ts[rows:end], basin[rows:end], readings[rows:end] = _columns(records, batch, first_line, index)
+                rows = end
             first_line += len(batch)
     except csv.Error as e:  # e.g. a field over the csv module's size limit
         raise HydroNetsError("syntax-error", f"line {reader.line_num}: {e}") from None
-    if not parts:
+    if not rows:
         raise HydroNetsError("no-rows", "series file has no data rows")
-    ts, basin, readings = map(np.concatenate, zip(*parts))
-    del parts                                   # before the sorts below: it is as large as the columns
+    ts, basin, readings = ts[:rows], basin[:rows], readings[:rows]
 
     grid, step = np.unique(ts, return_inverse=True)
     if len(grid) > 1:
@@ -486,10 +490,6 @@ class SynthConfig:
     burst_scale: float = 5.0
     noise_std: float = 0.0
     seed: int = 0
-
-    @property
-    def n_basins(self) -> int:
-        return sum(self.branching**k for k in range(self.height))
 
     def check(self) -> None:
         problems = []

@@ -8,6 +8,10 @@ prediction head reduces the embedding window to the scalar forecast.
 Region sources have no combiner: their combined input is zero, which keeps
 the shared model's input width uniform.
 
+The tree model's weights live in one vector (:class:`HydroNetParams`)
+whose views the level sweep reads in place; one cached plan per (graph,
+dims) fixes both the levels and where each weight sits in the vector.
+
 :func:`forward_batch` evaluates that structure at every step of every
 window, one tree level at a time (a source is level 0, any other basin
 one above its highest source), each level in a fixed number of numpy
@@ -71,10 +75,11 @@ Block = tuple[str, str | None, tuple[int, ...]]
 
 
 def layout(g: RegionGraph, dims: Dims) -> list[Block]:
-    """``(field, basin, shape)`` of every tree-model parameter block in
-    packing order: the shared map, then each combiner by basin id, then
-    each head by basin id. Shared blocks have basin ``None``; a head bias
-    has shape ``()``. Basins without sources have no combiner."""
+    """``(field, basin, shape)`` of every tree-model parameter block: the
+    shared map, then each combiner by basin id, then each head by basin
+    id. :func:`init_hydronet` draws in this order and checkpoints list
+    their blocks in it. Shared blocks have basin ``None``; a head bias has
+    shape ``()``. Basins without sources have no combiner."""
     k, d_x, t = dims.embedding, dims.channels, dims.window
     ids = sorted(g.topo_order)
     blocks: list[Block] = [("shared_w", None, (k, d_x + k)), ("shared_b", None, (k,))]
@@ -87,66 +92,74 @@ def layout(g: RegionGraph, dims: Dims) -> list[Block]:
     return blocks
 
 
-@dataclass
 class HydroNetParams:
-    """All learnable weights of the tree model.
+    """All learnable weights of the tree model on ``graph`` at ``dims``,
+    held in one vector.
 
-    ``combiner_w[i]`` has shape (K, |S(i)|*K) with source embeddings
-    concatenated in ascending-id order; basins without sources have no
-    combiner entry. ``head_w[i]`` flattens the (T, K) embedding row-major.
-    :func:`layout` lists every block with its shape.
+    ``vector`` is the only store. The six fields are views of it, in the
+    order the level sweep reads them:
+
+    - ``shared_w`` (K, d_x + K) and ``shared_b`` (K,), the shared map;
+    - ``combiner_w`` (K, edges * K), every combiner: the (K, K) block of
+      input e in columns ``e * K : (e + 1) * K``, inputs basin by basin in
+      ascending source id, basins level by level from the sources down;
+    - ``combiner_b`` (combined, K), one row per basin with sources, in
+      the same order;
+    - ``head_w`` (n, T * K) and ``head_b`` (n,), one per basin in
+      ``basin_ids`` order, each head flattening the (T, K) embedding
+      row-major.
+
+    :meth:`block` is the view of one :func:`layout` block. The fields
+    cannot be rebound, since a new array would not be part of the vector:
+    write through ``[...]`` instead.
     """
 
-    graph: RegionGraph
-    dims: Dims
-    shared_w: np.ndarray                   # (K, d_x + K)
-    shared_b: np.ndarray                   # (K,)
-    combiner_w: dict[str, np.ndarray]      # (K, |S| * K)
-    combiner_b: dict[str, np.ndarray]      # (K,)
-    head_w: dict[str, np.ndarray]          # (T * K,)
-    head_b: dict[str, float]
+    def __init__(self, graph: RegionGraph, dims: Dims, shared_w, shared_b, combiner_w: Mapping,
+                 combiner_b: Mapping, head_w: Mapping, head_b: Mapping):
+        """Copy the blocks into a new vector. The combiner and head
+        arguments map basin id to block; every block must have its
+        :func:`layout` shape, or ``shape-mismatch`` is raised."""
+        plan = _plan(graph, dims)
+        self.__dict__.update(vars(self._wrap(graph, dims, np.zeros(plan.size))))
+        given = {"shared_w": shared_w, "shared_b": shared_b, "combiner_w": combiner_w,
+                 "combiner_b": combiner_b, "head_w": head_w, "head_b": head_b}
+        blocks = layout(graph, dims)
+        for field, bid, shape in blocks:
+            value = given[field] if bid is None else given[field].get(bid)
+            if value is None or np.shape(value) != shape:
+                raise HydroNetsError("shape-mismatch", f"block {field}/{bid} is {np.shape(value)}, want {shape}")
+            self.block(field, bid)[...] = value
+        if sum(map(len, (combiner_w, combiner_b, head_w, head_b))) != len(blocks) - 2:
+            raise HydroNetsError("shape-mismatch", "combiner or head blocks for basins the layout lacks")
 
-    def block(self, field: str, basin: str | None):
-        """Value of one :func:`layout` block."""
-        value = getattr(self, field)
-        return value if basin is None else value[basin]
+    @classmethod
+    def _wrap(cls, graph: RegionGraph, dims: Dims, vector: np.ndarray) -> "HydroNetParams":
+        """Parameters viewing ``vector``, which must have the layout's size."""
+        p = object.__new__(cls)
+        views = {name: vector[s].reshape(shape) for name, s, shape in _plan(graph, dims).fields}
+        p.__dict__.update(graph=graph, dims=dims, vector=vector, **views)
+        return p
+
+    def __setattr__(self, name: str, value) -> None:
+        # ``p.shared_w += x`` writes in place, then sets the same view again.
+        if value is not self.__dict__.get(name):
+            raise AttributeError(f"cannot rebind {name!r}: write into the vector through [...]")
+
+    def block(self, field: str, basin: str | None) -> np.ndarray:
+        """View of one :func:`layout` block (a head bias is 0-d)."""
+        return getattr(self, field)[_plan(self.graph, self.dims).place[field, basin]]
 
     def pack(self) -> np.ndarray:
-        """Flatten every parameter into one vector in :func:`layout` order."""
-        blocks = _packing(self.graph, self.dims)[0]
-        return np.concatenate([self.block(field, bid) for field, bid, _ in blocks], axis=None)
+        """The parameter vector itself, not a copy."""
+        return self.vector
 
     def unpack(self, vector: np.ndarray) -> "HydroNetParams":
-        """Inverse of :meth:`pack`; returns a new parameter container."""
-        blocks, slices, size = _packing(self.graph, self.dims)
-        if len(vector) != size:
-            raise HydroNetsError("shape-mismatch", f"vector has {len(vector)} entries, expected {size}")
-        values = [
-            vector[s].reshape(shape).copy() if shape else float(vector[s.start])
-            for s, (_, _, shape) in zip(slices, blocks)
-        ]
-        return _from_blocks(self.graph, self.dims, blocks, values)
-
-
-@functools.lru_cache(maxsize=64)
-def _packing(g: RegionGraph, dims: Dims) -> tuple[tuple[Block, ...], tuple[slice, ...], int]:
-    """:func:`layout`, each block's slice of the packed vector, and the
-    vector's length. Cached, because training packs and unpacks on every
-    minibatch."""
-    blocks = tuple(layout(g, dims))
-    ends = list(itertools.accumulate(math.prod(shape) for _, _, shape in blocks))
-    return blocks, tuple(map(slice, [0, *ends], ends)), ends[-1]
-
-
-def _from_blocks(g: RegionGraph, dims: Dims, blocks: list[Block], values) -> HydroNetParams:
-    """Container holding ``values``, one per block of ``blocks``."""
-    fields: dict = {"combiner_w": {}, "combiner_b": {}, "head_w": {}, "head_b": {}}
-    for (field, bid, _), value in zip(blocks, values):
-        if bid is None:
-            fields[field] = value
-        else:
-            fields[field][bid] = value
-    return HydroNetParams(graph=g, dims=dims, **fields)
+        """Parameters held in ``vector``, laid out like :meth:`pack`'s;
+        wraps it without copying."""
+        size = _plan(self.graph, self.dims).size
+        if vector.shape != (size,):
+            raise HydroNetsError("shape-mismatch", f"vector has shape {vector.shape}, expected ({size},)")
+        return self._wrap(self.graph, self.dims, vector)
 
 
 @dataclass
@@ -186,15 +199,12 @@ class ForwardTrace:
 def init_hydronet(g: RegionGraph, dims: Dims, seed: int) -> HydroNetParams:
     """Gaussian(0, 1/fan_in) weights, zero biases, deterministic per seed.
     Weight blocks draw from one generator in :func:`layout` order."""
-    dims.check()
+    p = HydroNetParams._wrap(g, dims, np.zeros(_plan(g, dims).size))
     rng = np.random.default_rng(seed)
-    blocks = layout(g, dims)
-    values = [
-        rng.standard_normal(shape) / np.sqrt(shape[-1]) if field.endswith("_w")
-        else (np.zeros(shape) if shape else 0.0)
-        for field, _, shape in blocks
-    ]
-    return _from_blocks(g, dims, blocks, values)
+    for field, bid, shape in layout(g, dims):
+        if field.endswith("_w"):
+            p.block(field, bid)[...] = rng.standard_normal(shape) / np.sqrt(shape[-1])
+    return p
 
 
 def init_flat(g: RegionGraph, target: str, depth: int, dims: Dims, seed: int) -> FlatLinearParams:
@@ -251,7 +261,7 @@ def forward_batch(
     ids = p.graph.basin_ids
     batch = check_features(ids, p.dims, features)
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
-    plan = _levels(p.graph)
+    plan = _plan(p.graph, p.dims)
     # One row per step of every window. Embeddings start as the shared
     # map of the features alone; row n is the zero padding source.
     rows = batch * t
@@ -259,16 +269,13 @@ def forward_batch(
     e = np.zeros((n + 1, rows, k))
     e[:n] = x @ p.shared_w[:, :d_x].T + p.shared_b
     c = np.zeros((n, rows, k))
-    w_c, b_c = _combiners(p, plan.combined)
-    w_c, w_sc = w_c.transpose(0, 2, 1), p.shared_w[:, d_x:].T
+    w_c, w_sc = p.combiner_w.reshape(k, -1, k).transpose(1, 2, 0), p.shared_w[:, d_x:].T
     for lv in plan.levels:
         flow = e[lv.sources] @ w_c[lv.edges]                             # (basins * width, rows, K)
-        c_lv = flow.reshape(len(lv.basins), lv.width, rows, k).sum(axis=1) + b_c[lv.combiners, None]
+        c_lv = flow.reshape(len(lv.basins), lv.width, rows, k).sum(axis=1) + p.combiner_b[lv.combiners, None]
         c[lv.basins] = c_lv
         e[lv.basins] += c_lv @ w_sc
-    heads = np.concatenate([p.head_w[bid] for bid in ids]).reshape(n, t * k, 1)
-    head_b = np.array([p.head_b[bid] for bid in ids])[:, None]
-    preds = (e[:n].reshape(n, batch, t * k) @ heads)[:, :, 0] + head_b
+    preds = (e[:n].reshape(n, batch, t * k) @ p.head_w[:, :, None])[:, :, 0] + p.head_b[:, None]
     c, e = c.reshape(n, batch, t, k), e[:n].reshape(n, batch, t, k)
     order = plan.topo_rows
     return ({b: c[m] for b, m in order}, {b: e[m] for b, m in order}, {b: preds[m] for b, m in order})
@@ -276,37 +283,48 @@ def forward_batch(
 
 @dataclass(frozen=True)
 class _Level:
-    """The basins (indices into ``basin_ids``) of one level above the
-    sources. ``sources`` and ``edges`` (rows of the :func:`_combiners`
-    stack) list ``width`` inputs per basin, the level's most, padded with
-    the zero source ``n`` through the stack's zero last block;
-    ``combiners`` slices its biases."""
+    """One level above the sources: its basins (indices into
+    ``basin_ids``), their rows of the combiner biases, and their inputs
+    basin by basin, each a source basin read through a (K, K) block of
+    the combiner matrix. ``sources`` and ``edges`` pad every basin to
+    ``width`` inputs, the level's most, with the zero source ``n`` (read
+    through the level's first block); ``inputs`` picks out the real ones."""
 
     basins: np.ndarray
     combiners: slice
     width: int
     sources: np.ndarray
     edges: np.ndarray
+    inputs: np.ndarray
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """The levels bottom up, the basins with a combiner in stack order
-    and each one's slice of the edges, and ``(basin, index)`` in
-    topological order."""
+    """What depends on the graph and the dims alone: each parameter
+    field's ``(name, slice, shape)`` in the vector, the vector's size,
+    each :func:`layout` block's index into its field, the levels from the
+    sources down, ``(basin, index)`` in topological order, the subtree
+    mask (:class:`Filters`) and :func:`probe_batch`."""
 
+    fields: tuple[tuple[str, slice, tuple[int, ...]], ...]
+    size: int
+    place: Mapping[tuple[str, str | None], tuple]
     levels: tuple[_Level, ...]
-    combined: tuple[str, ...]
-    inputs: tuple[slice, ...]
     topo_rows: tuple[tuple[str, int], ...]
+    inside: np.ndarray
+    probe: Mapping[str, np.ndarray]
 
 
 @functools.lru_cache(maxsize=64)
-def _levels(g: RegionGraph) -> _Plan:
-    """The tree of ``g`` level by level, for :func:`forward_batch` and the
-    reverse sweep in :func:`~hydronets.training.backward_hydronet`.
-    Cached per graph; the index arrays are shared and must not be written."""
+def _plan(g: RegionGraph, dims: Dims) -> _Plan:
+    """The plan of ``g`` at ``dims``, for :class:`HydroNetParams`,
+    :func:`forward_batch`, :func:`fold` and the reverse sweep in
+    :func:`~hydronets.training.backward_hydronet`. Cached, as every
+    training step reads it; its arrays are shared and must not be written
+    (the probe and the mask are read-only)."""
+    dims.check()
     ids = g.basin_ids
+    n, t, k, d_x = len(ids), dims.window, dims.embedding, dims.channels
     index = {bid: m for m, bid in enumerate(ids)}
     level: dict[str, int] = {}
     for bid in g.topo_order:
@@ -315,40 +333,50 @@ def _levels(g: RegionGraph) -> _Plan:
     for bid in ids:
         if level[bid]:
             groups[level[bid] - 1].append(bid)
-    combined = tuple(bid for group in groups for bid in group)
-    ends = list(itertools.accumulate(len(g.upstream[bid]) for bid in combined))
-    inputs = tuple(map(slice, [0, *ends], ends))
-    span = dict(zip(combined, inputs))
+    combined = [bid for group in groups for bid in group]
+    ends = list(itertools.accumulate((len(g.upstream[bid]) for bid in combined), initial=0))
     levels = []
     for group in groups:
-        width = max(len(g.upstream[bid]) for bid in group)
-        sources, edges = [], []
-        for bid in group:
-            pad = width - len(g.upstream[bid])
-            sources += [index[j] for j in g.upstream[bid]] + [len(ids)] * pad
-            edges += [*range(span[bid].start, span[bid].stop)] + [ends[-1]] * pad
         first = combined.index(group[0])
+        width = max(len(g.upstream[bid]) for bid in group)
+        sources, edges, inputs = [], [], []
+        for m, bid in enumerate(group, first):
+            pad = width - len(g.upstream[bid])
+            inputs += range(len(sources), len(sources) + width - pad)
+            sources += [index[j] for j in g.upstream[bid]] + [n] * pad
+            edges += [*range(ends[m], ends[m + 1])] + [ends[first]] * pad
         levels.append(_Level(
-            basins=np.array([index[bid] for bid in group]),
-            combiners=slice(first, first + len(group)),
-            width=width,
-            sources=np.array(sources),
-            edges=np.array(edges),
+            np.array([index[bid] for bid in group]), slice(first, first + len(group)), width,
+            np.array(sources), np.array(edges), np.array(inputs, dtype=int),
         ))
-    return _Plan(tuple(levels), combined, inputs, tuple((bid, index[bid]) for bid in g.topo_order))
+
+    shapes = {"shared_w": (k, d_x + k), "shared_b": (k,), "combiner_w": (k, ends[-1] * k),
+              "combiner_b": (len(combined), k), "head_w": (n, t * k), "head_b": (n,)}
+    offsets = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
+    fields = tuple((name, slice(a, b), shape) for (name, shape), a, b in zip(shapes.items(), offsets, offsets[1:]))
+    place: dict = {("shared_w", None): ..., ("shared_b", None): ...}
+    for m, bid in enumerate(combined):
+        place["combiner_w", bid] = (slice(None), slice(ends[m] * k, ends[m + 1] * k))
+        place["combiner_b", bid] = (m, ...)
+    for m, bid in enumerate(ids):
+        place["head_w", bid] = place["head_b", bid] = (m, ...)
+
+    mask = np.eye(n, dtype=bool)
+    for bid in g.topo_order:
+        for j in g.upstream[bid]:
+            mask[index[bid]] |= mask[index[j]]
+    inside = np.repeat(mask, d_x, axis=1)[:, :, None]
+    slots = -(-(1 + n * d_x) // t) * t
+    probe = np.zeros((n, slots, d_x))
+    probe[np.repeat(np.arange(n), d_x), 1 + np.arange(n * d_x), np.tile(np.arange(d_x), n)] = 1.0
+    inside.flags.writeable = probe.flags.writeable = False
+    return _Plan(
+        fields, offsets[-1], types.MappingProxyType(place), tuple(levels),
+        tuple((bid, index[bid]) for bid in g.topo_order), inside,
+        types.MappingProxyType({bid: probe[m].reshape(-1, t, d_x) for m, bid in enumerate(ids)}),
+    )
 
 
-def _combiners(p: HydroNetParams, combined: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, K) block of every combiner input, (edges + 1, K, K) in edge
-    order with a zero block last, and the combiner biases, (basins, K),
-    for the basins of ``combined`` in that order."""
-    k = p.dims.embedding
-    w = np.concatenate([*(p.combiner_w[bid] for bid in combined), np.zeros((k, k))], axis=1)
-    b = np.array([p.combiner_b[bid] for bid in combined]).reshape(-1, k)
-    return w.reshape(k, -1, k).transpose(1, 0, 2), b
-
-
-@functools.lru_cache(maxsize=64)
 def probe_batch(g: RegionGraph, dims: Dims) -> Mapping[str, np.ndarray]:
     """Unit-impulse input for :func:`fold`, shaped like a batch of
     ``ceil((1 + n * d_x) / T)`` examples for the ``n`` basins of ``g``.
@@ -360,12 +388,7 @@ def probe_batch(g: RegionGraph, dims: Dims) -> Mapping[str, np.ndarray]:
     Cached per (graph, dims), as every training step folds: the mapping
     and its arrays are read-only.
     """
-    n, t, d_x = len(g.basin_ids), dims.window, dims.channels
-    slots = -(-(1 + n * d_x) // t) * t
-    probe = np.zeros((n, slots, d_x))
-    probe[np.repeat(np.arange(n), d_x), 1 + np.arange(n * d_x), np.tile(np.arange(d_x), n)] = 1.0
-    probe.flags.writeable = False
-    return types.MappingProxyType({bid: probe[m].reshape(-1, t, d_x) for m, bid in enumerate(g.basin_ids)})
+    return _plan(g, dims).probe
 
 
 @dataclass(frozen=True)
@@ -386,28 +409,13 @@ class Filters:
     zero: np.ndarray                       # (n, K)
     response: np.ndarray                   # (n, n * d_x, K)
     inside: np.ndarray                     # (n, n * d_x, 1) bool
-    heads: np.ndarray                      # (n, T, K): head_w[i] reshaped
+    heads: np.ndarray                      # (n, T, K): head_w reshaped
     weights: np.ndarray                    # (T * n * d_x, n)
     bias: np.ndarray                       # (n,)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Forecasts (B, n) for a (B, T, n, d_x) batch: one matmul."""
         return x.reshape(len(x), -1) @ self.weights + self.bias
-
-
-@functools.lru_cache(maxsize=64)
-def _inside(g: RegionGraph, channels: int) -> np.ndarray:
-    """(n, n * channels, 1) mask: row ``m * channels + c`` of basin i is
-    set when basin m drains into i or is i. Cached and read-only, like
-    :func:`probe_batch`."""
-    index = {bid: i for i, bid in enumerate(g.basin_ids)}
-    mask = np.eye(len(index), dtype=bool)
-    for bid in g.topo_order:
-        for j in g.upstream[bid]:
-            mask[index[bid]] |= mask[index[j]]
-    mask = np.repeat(mask, channels, axis=1)[:, :, None]
-    mask.flags.writeable = False
-    return mask
 
 
 def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> Filters:
@@ -417,15 +425,15 @@ def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> Filters:
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
     e = np.concatenate([embeddings[bid] for bid in ids]).reshape(n, -1, k)  # (n, slots, K)
     zero = e[:, 0]
-    inside = _inside(p.graph, d_x)
+    inside = _plan(p.graph, p.dims).inside
     response = np.where(inside, e[:, 1 : 1 + n * d_x] - zero[:, None], 0.0)
-    heads = np.concatenate([p.head_w[bid] for bid in ids]).reshape(n, t, k)
+    heads = p.head_w.reshape(n, t, k)
     # Written straight into the C-ordered weights the batch matmuls read
     # fastest: a transposed copy cost 2 ms more at 63 basins.
     weights = np.empty((t, n * d_x, n))
     np.matmul(heads, response.transpose(0, 2, 1), out=weights.transpose(2, 0, 1))
     weights = weights.reshape(t * n * d_x, n)
-    bias = np.sum(heads.sum(axis=1) * zero, axis=1) + np.array([p.head_b[bid] for bid in ids])
+    bias = np.sum(heads.sum(axis=1) * zero, axis=1) + p.head_b
     return Filters(ids, zero, response, inside, heads, weights, bias)
 
 
@@ -492,20 +500,20 @@ def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
             "bias": p.bias,
         }
     else:
+        blocks = layout(p.graph, p.dims)
+
+        def by_basin(field: str) -> dict:
+            return {bid: {"w": p.block(f"{field}_w", bid).tolist(), "b": p.block(f"{field}_b", bid).tolist()}
+                    for name, bid, _ in blocks if name == f"{field}_w"}
+
         doc = {
             "kind": "hydronets",
             "dims": asdict(p.dims),
             "graph_fingerprint": graph_fingerprint(p.graph),
             "shared_w": p.shared_w.tolist(),
             "shared_b": p.shared_b.tolist(),
-            "combiners": {
-                bid: {"w": p.combiner_w[bid].tolist(), "b": p.combiner_b[bid].tolist()}
-                for bid in sorted(p.combiner_w)
-            },
-            "heads": {
-                bid: {"w": p.head_w[bid].tolist(), "b": p.head_b[bid]}
-                for bid in sorted(p.head_w)
-            },
+            "combiners": by_basin("combiner"),
+            "heads": by_basin("head"),
         }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -551,28 +559,21 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
             raise HydroNetsError("missing-graph", "tree checkpoints need the region graph to load")
         if graph_fingerprint(g) != doc["graph_fingerprint"]:
             raise HydroNetsError("graph-mismatch", "checkpoint was trained on a different region graph")
-        blocks = layout(g, dims)
         combiners, heads = doc["combiners"], doc["heads"]
-        if set(combiners) != {bid for field, bid, _ in blocks if field == "combiner_w"}:
+        if set(combiners) != {bid for bid in g.basin_ids if g.upstream[bid]}:
             raise HydroNetsError("bad-checkpoint", f"combiners for {sorted(combiners)} do not match the region")
         if set(heads) != set(g.basin_ids):
             raise HydroNetsError("bad-checkpoint", f"heads for {sorted(heads)} do not match the region")
-        p = HydroNetParams(
-            graph=g,
-            dims=dims,
-            shared_w=np.array(_numbers(doc["shared_w"]), dtype=float),
-            shared_b=np.array(_numbers(doc["shared_b"]), dtype=float),
-            combiner_w={bid: np.array(_numbers(v["w"]), dtype=float) for bid, v in combiners.items()},
-            combiner_b={bid: np.array(_numbers(v["b"]), dtype=float) for bid, v in combiners.items()},
-            head_w={bid: np.array(_numbers(v["w"]), dtype=float) for bid, v in heads.items()},
-            head_b={bid: float(_numbers(v["b"])) for bid, v in heads.items()},
-        )
-        for field, bid, shape in blocks:
-            got = np.shape(p.block(field, bid))
-            if got != shape:
-                raise HydroNetsError("bad-checkpoint", f"block {field}/{bid} has shape {got}, want {shape}")
-            if not np.all(np.isfinite(p.block(field, bid))):
-                raise HydroNetsError("bad-checkpoint", f"block {field}/{bid} is not finite")
+        per_basin = {f"{field}_{part}": {bid: _numbers(v[part]) for bid, v in group.items()}
+                     for field, group in (("combiner", combiners), ("head", heads)) for part in "wb"}
+        try:
+            p = HydroNetParams(g, dims, _numbers(doc["shared_w"]), _numbers(doc["shared_b"]), **per_basin)
+        except HydroNetsError as e:
+            if e.code != "shape-mismatch":
+                raise
+            raise HydroNetsError("bad-checkpoint", str(e)) from None
+        if not np.all(np.isfinite(p.vector)):
+            raise HydroNetsError("bad-checkpoint", "parameters are not finite")
         return p
     except KeyError as e:
         raise HydroNetsError("bad-checkpoint", f"checkpoint missing field {e}") from None

@@ -51,10 +51,6 @@ class RegionGraph:
         return tuple(b.id for b in self.basins)
 
     @cached_property
-    def basin_by_id(self) -> dict[str, Basin]:
-        return {b.id: b for b in self.basins}
-
-    @cached_property
     def upstream(self) -> dict[str, tuple[str, ...]]:
         """Basin id -> ids flowing directly into it, sorted ascending.
         This is the canonical combiner input order."""
@@ -84,7 +80,7 @@ class RegionGraph:
         return tuple(order)
 
     def __contains__(self, basin_id: str) -> bool:
-        return basin_id in self.basin_by_id
+        return basin_id in self.upstream
 
     def __hash__(self) -> int:
         return self._hash

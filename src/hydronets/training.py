@@ -5,25 +5,27 @@ batch meets the model only through the folded per-basin filters
 (:func:`~hydronets.model.fold`): its forecasts, and the gradient with
 respect to the filters, are one matmul each against the batch's windows,
 gathered from the example set's grid in one index. The filter gradient
-then seeds reverse-mode accumulation over the region graph on
-the small probe batch the filters were read from. The sweep runs one tree
-level at a time, drain-first, so each basin's embedding gradient already
-includes the contribution routed back through every downstream combiner
-when its own level is reached. A level is a fixed number of numpy calls:
-the combined-input gradients of its basins, one batched matmul for the
+then seeds reverse-mode accumulation over the region graph on the small
+probe batch the filters were read from. The sweep runs one tree level at
+a time, drain-first, so each basin's embedding gradient already includes
+the contribution routed back through every downstream combiner when its
+own level is reached. A level is a fixed number of numpy calls: the
+combined-input gradients of its basins, one batched matmul for the
 combiner blocks of every source feeding them, and one indexed add of the
 routed gradient into those sources. The shared map's gradient is one
-matmul over all basins after the sweep. The flat baseline is ordinary
-linear least squares machinery.
+matmul over all basins after the sweep. Every block of the gradient is
+written straight into its view of one new vector laid out like the
+parameters. The flat baseline is ordinary linear least squares
+machinery.
 
-Both model kinds train in one minibatch loop on the packed parameter
-vector; :func:`train` and :func:`train_flat` only supply its batch loss
-and gradient and its full-set loss, which reads the grid one lag at a
-time.
+Both model kinds train in one minibatch loop on the parameter vector;
+:func:`train` and :func:`train_flat` only supply its batch loss and
+gradient and its full-set loss, which reads the grid one lag at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -34,8 +36,7 @@ from .errors import HydroNetsError
 from .model import (
     FlatLinearParams,
     HydroNetParams,
-    _combiners,
-    _levels,
+    _plan,
     as_batch,
     flat_design_matrix,
     fold,
@@ -68,6 +69,8 @@ class LossWeights:
         return cls({bid: (alpha if bid == target else rest) for bid in basin_ids})
 
     def normalized(self) -> "LossWeights":
+        if not all(0 <= w < math.inf for w in self.weights.values()):
+            raise HydroNetsError("invalid-config", f"loss weights must be finite and non-negative: {self.weights}")
         total = sum(self.weights.values())
         if total <= 0:
             raise HydroNetsError("invalid-config", "loss weights must have positive sum")
@@ -117,14 +120,15 @@ def backward_hydronet(
     The batch's forecasts and the gradient with respect to the folded
     filters are one matmul each against its windows; the tree itself is
     evaluated, and swept in reverse one level at a time, only on the probe
-    batch. The gradient is returned in a parameter-shaped container so it
-    packs with the same layout as the parameters themselves.
+    batch. The gradient is written block by block into one new vector,
+    returned as parameters viewing it.
     """
     ids = p.graph.basin_ids
     x = as_batch(ids, p.dims, features)
     batch = len(x)
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
-    probe = probe_batch(p.graph, p.dims)
+    plan = _plan(p.graph, p.dims)
+    probe = plan.probe
     combined, embeddings, _ = forward_batch(p, probe)
     f = fold(p, embeddings)
     preds = f.apply(x)                                                   # (B, n)
@@ -137,47 +141,39 @@ def backward_hydronet(
     # bias_i = sum_t H_i[t] . q_i + head_b_i.
     g_f = (g_pred.T @ x.reshape(batch, -1)).reshape(n, t, n * d_x)
     g_bias = g_pred.sum(axis=0)                                          # (n,)
-    g_heads = g_f @ f.response + g_bias[:, None, None] * f.zero[:, None, :]
+    grad = p.unpack(np.zeros(plan.size))
+    grad.head_w[...] = (g_f @ f.response + g_bias[:, None, None] * f.zero[:, None, :]).reshape(n, t * k)
+    grad.head_b[...] = g_bias
     g_response = np.where(f.inside, g_f.transpose(0, 2, 1) @ f.heads, 0.0)
 
     # dL/dE_i on the probe: R_i is E_i at the impulse slots minus E_i at
-    # slot 0, and q_i is E_i at slot 0. Row n is the zero source that pads
-    # each level (see model._levels); what is routed to it is dropped.
-    e = np.concatenate([*(embeddings[bid] for bid in ids), np.zeros_like(embeddings[ids[0]])])
-    e = e.reshape(n + 1, -1, k)                                          # (n + 1, slots, K)
+    # slot 0, and q_i is E_i at slot 0.
+    e = np.concatenate([embeddings[bid] for bid in ids]).reshape(n, -1, k)  # (n, slots, K)
     g_e = np.zeros_like(e)
-    g_e[:n, 1 : 1 + n * d_x] = g_response
-    g_e[:n, 0] = g_bias[:, None] * f.heads.sum(axis=1) - g_response.sum(axis=1)
+    g_e[:, 1 : 1 + n * d_x] = g_response
+    g_e[:, 0] = g_bias[:, None] * f.heads.sum(axis=1) - g_response.sum(axis=1)
     # dL/dE_i accumulates its seed plus anything routed back from the
-    # combiner it feeds, so levels run drain-first. A tree has no repeated
-    # source, so the indexed add below is safe outside the padding row.
-    plan = _levels(p.graph)
-    w_c, _ = _combiners(p, plan.combined)
-    g_wc, g_bc = np.empty_like(w_c), np.empty((len(plan.combined), k))
+    # combiner it feeds, so levels run drain-first. Only a level's real
+    # inputs are swept, not the forward pass's padding; a tree has no
+    # repeated source, so the indexed add is safe. The (K, K) blocks of the
+    # combiner matrices are views, edge by edge.
+    w_c = p.combiner_w.reshape(k, -1, k).transpose(1, 0, 2)
+    g_wc = grad.combiner_w.reshape(k, -1, k).transpose(1, 0, 2)
     w_sc = p.shared_w[:, d_x:]
     for lv in reversed(plan.levels):
         g_c = g_e[lv.basins] @ w_sc                                      # (basins, slots, K)
-        g_bc[lv.combiners] = g_c.sum(axis=1)
-        g_flow = np.repeat(g_c, lv.width, axis=0)                        # (basins * width, slots, K)
-        g_wc[lv.edges] = g_flow.transpose(0, 2, 1) @ e[lv.sources]
-        g_e[lv.sources] += g_flow @ w_c[lv.edges]
-    g_e = g_e[:n]
+        grad.combiner_b[lv.combiners] = g_c.sum(axis=1)
+        sources, edges = lv.sources[lv.inputs], lv.edges[lv.inputs]
+        g_flow = g_c[lv.inputs // lv.width]                              # (inputs, slots, K)
+        g_wc[edges] = g_flow.transpose(0, 2, 1) @ e[sources]
+        g_e[sources] += g_flow @ w_c[edges]
 
     u = np.concatenate([                                                 # the shared map's input
         np.concatenate([probe[bid] for bid in ids]).reshape(n, -1, d_x),
         np.concatenate([combined[bid] for bid in ids]).reshape(n, -1, k),
     ], axis=2)
-    g_wc = np.ascontiguousarray(g_wc[:-1].transpose(1, 0, 2))            # (K, edges, K)
-    grad = HydroNetParams(
-        graph=p.graph,
-        dims=p.dims,
-        shared_w=g_e.reshape(-1, k).T @ u.reshape(-1, d_x + k),
-        shared_b=g_e.sum(axis=(0, 1)),
-        combiner_w={bid: g_wc[:, edges].reshape(k, -1) for bid, edges in zip(plan.combined, plan.inputs)},
-        combiner_b=dict(zip(plan.combined, g_bc)),
-        head_w=dict(zip(ids, g_heads.reshape(n, t * k))),
-        head_b=dict(zip(ids, g_bias.tolist())),
-    )
+    grad.shared_w[...] = g_e.reshape(-1, k).T @ u.reshape(-1, d_x + k)
+    grad.shared_b[...] = g_e.sum(axis=(0, 1))
     return loss, grad
 
 
@@ -249,15 +245,15 @@ def _fit(
 ) -> TrainResult:
     """The minibatch loop both model kinds train in, over ``n`` examples.
 
-    ``batch_loss(params, idx)`` gives the loss and the gradient container
-    on the examples at ``idx``; ``full_loss(params)`` gives the full-set
-    loss.
+    ``batch_loss(params, idx)`` gives the loss and the gradient, as
+    parameters of the same kind, on the examples at ``idx``;
+    ``full_loss(params)`` gives the full-set loss.
     """
     cfg.check()
     if n == 0:
         raise HydroNetsError("empty-train", "no training examples")
 
-    vector = p.pack().copy()
+    vector = p.pack().copy()                    # the tree model's pack() is its store
     opt = _Optimizer(cfg, len(vector))
     history: list[float] = []
     for epoch in range(cfg.epochs):
@@ -279,12 +275,16 @@ def train(
     """Mini-batch gradient descent on the weighted loss over all basins.
 
     The input parameters are left untouched; per-epoch shuffles derive from
-    ``(cfg.seed, epoch)`` so runs replay exactly.
+    ``(cfg.seed, epoch)`` so runs replay exactly. Loss weights must name
+    basins of the region and be non-negative.
     """
-    if w is None:
-        w = LossWeights.uniform(p.graph.basin_ids)
-    w = w.normalized()
     basin_ids = p.graph.basin_ids
+    if w is None:
+        w = LossWeights.uniform(basin_ids)
+    unknown = sorted(set(w.weights) - set(basin_ids))
+    if unknown:
+        raise HydroNetsError("unknown-basin", f"loss weights for basins not in the region: {unknown}")
+    w = w.normalized()
     cols = examples.columns(basin_ids, p.dims.window, p.dims.channels)
 
     def batch_loss(q: HydroNetParams, idx: np.ndarray) -> tuple[float, HydroNetParams]:

@@ -100,12 +100,12 @@ def reference_forward_batch(p, features):
         srcs = p.graph.upstream[bid]
         if srcs:
             stacked = np.concatenate([embeddings[j] for j in srcs], axis=2)
-            c = stacked @ p.combiner_w[bid].T + p.combiner_b[bid]
+            c = stacked @ p.block("combiner_w", bid).T + p.block("combiner_b", bid)
         else:
             c = np.zeros((batch, t, k))
         combined[bid] = c
         u = np.concatenate([features[bid], c], axis=2)
         e = u @ p.shared_w.T + p.shared_b
         embeddings[bid] = e
-        preds[bid] = e.reshape(batch, t * k) @ p.head_w[bid] + p.head_b[bid]
+        preds[bid] = e.reshape(batch, t * k) @ p.block("head_w", bid) + p.block("head_b", bid)
     return combined, embeddings, preds

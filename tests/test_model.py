@@ -21,6 +21,7 @@ from hydronets.model import (
     graph_fingerprint,
     init_flat,
     init_hydronet,
+    layout,
     load_checkpoint,
     param_count,
     save_checkpoint,
@@ -198,24 +199,14 @@ class TestLocality:
             sub = prune_to_depth(g, g.basin_ids[0], depth)
             p_full = init_hydronet(g, dims, trial)
             p_sub = init_hydronet(sub, dims, trial + 100)
-            # copy the pruned model's parameters into the full container,
-            # zero everything it does not have
-            p_full.shared_w = p_sub.shared_w.copy()
-            p_full.shared_b = p_sub.shared_b.copy()
-            for bid in p_full.combiner_w:
-                if bid in p_sub.combiner_w:
-                    p_full.combiner_w[bid] = p_sub.combiner_w[bid].copy()
-                    p_full.combiner_b[bid] = p_sub.combiner_b[bid].copy()
+            # copy the pruned model's parameters into the full model, zero
+            # everything it does not have
+            sub_blocks = {(field, bid) for field, bid, _ in layout(sub, dims)}
+            for field, bid, _ in layout(g, dims):
+                if (field, bid) in sub_blocks:
+                    p_full.block(field, bid)[...] = p_sub.block(field, bid)
                 else:
-                    p_full.combiner_w[bid] = np.zeros_like(p_full.combiner_w[bid])
-                    p_full.combiner_b[bid] = np.zeros_like(p_full.combiner_b[bid])
-            for bid in p_full.head_w:
-                if bid in p_sub.head_w:
-                    p_full.head_w[bid] = p_sub.head_w[bid].copy()
-                    p_full.head_b[bid] = p_sub.head_b[bid]
-                else:
-                    p_full.head_w[bid] = np.zeros_like(p_full.head_w[bid])
-                    p_full.head_b[bid] = 0.0
+                    p_full.block(field, bid)[...] = 0.0
             feats_sub = {b: rng.standard_normal((2, 2, 2)) for b in sub.basin_ids}
             feats_full = {
                 b: feats_sub.get(b, np.zeros((2, 2, 2))) for b in g.basin_ids
@@ -315,8 +306,8 @@ class TestInit:
     def test_biases_zero(self, fork_graph):
         p = init_hydronet(fork_graph, Dims(window=2, embedding=2, horizon=1), 0)
         assert np.all(p.shared_b == 0.0)
-        assert all(np.all(v == 0.0) for v in p.combiner_b.values())
-        assert all(v == 0.0 for v in p.head_b.values())
+        assert np.all(p.combiner_b == 0.0)
+        assert np.all(p.head_b == 0.0)
 
     def test_pack_unpack_round_trip(self, fork_graph):
         p = init_hydronet(fork_graph, Dims(window=3, embedding=2, horizon=2), 4)
@@ -324,6 +315,73 @@ class TestInit:
         assert np.array_equal(p.unpack(v).pack(), v)
         with pytest.raises(HydroNetsError, match="shape-mismatch"):
             p.unpack(np.zeros(len(v) + 1))
+
+
+def fans(max_sources=8):
+    """One drain fed straight by one to ``max_sources`` sources."""
+    return st.integers(1, max_sources).map(lambda s: tree_from_parents([0] * s))
+
+
+def block_kwargs(g, dims, value):
+    """The constructor's block arguments, ``value(shape)`` for each block."""
+    kwargs = {"combiner_w": {}, "combiner_b": {}, "head_w": {}, "head_b": {}}
+    for field, bid, shape in layout(g, dims):
+        if bid is None:
+            kwargs[field] = value(shape)
+        else:
+            kwargs[field][bid] = value(shape)
+    return kwargs
+
+
+class TestParamStore:
+    FIELDS = ("shared_w", "shared_b", "combiner_w", "combiner_b", "head_w", "head_b")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(random_trees(max_basins=12), chains(), fans(), st.just(tree_from_parents([]))),
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_tile_one_vector(self, g, window, embedding, channels, seed):
+        dims = Dims(window=window, embedding=embedding, horizon=1, channels=channels)
+        rng = np.random.default_rng(seed)
+        kwargs = block_kwargs(g, dims, rng.standard_normal)
+        p = HydroNetParams(g, dims, **kwargs)
+        for field, bid, _ in layout(g, dims):
+            given_block = kwargs[field] if bid is None else kwargs[field][bid]
+            assert np.array_equal(p.block(field, bid), given_block)
+        # every entry of the vector belongs to exactly one block
+        count = p.unpack(np.zeros(param_count(p)))
+        for field, bid, _ in layout(g, dims):
+            count.block(field, bid)[...] += 1.0
+        assert np.all(count.pack() == 1.0)
+
+        v = rng.standard_normal(param_count(p))
+        q = p.unpack(v)
+        assert q.pack() is v
+        for name in self.FIELDS:
+            view = getattr(q, name)
+            assert view.size == 0 or np.shares_memory(view, v)
+            with pytest.raises(AttributeError, match="rebind"):
+                setattr(q, name, view.copy())
+        q.shared_b += 1.0        # in place: the same view is set again
+        assert np.shares_memory(q.shared_b, v)
+        with pytest.raises(AttributeError, match="rebind"):
+            q.vector = v.copy()
+
+    def test_wrong_block_shape_is_rejected(self, fork_graph):
+        dims = Dims(window=2, embedding=2, horizon=1)
+        k = dims.embedding
+        # b3 has two sources, so its combiner is (K, 2K); a (K, K) block
+        # must not reach the forward pass
+        narrow = block_kwargs(fork_graph, dims, np.ones)
+        narrow["combiner_w"]["b3"] = np.ones((k, k))
+        foreign = block_kwargs(fork_graph, dims, np.ones)
+        foreign["combiner_b"]["b1"] = np.ones(k)
+        missing = block_kwargs(fork_graph, dims, np.ones)
+        del missing["head_b"]["b2"]
+        for kwargs in (narrow, foreign, missing):
+            with pytest.raises(HydroNetsError, match="shape-mismatch"):
+                HydroNetParams(fork_graph, dims, **kwargs)
 
 
 class TestCheckpoints:

@@ -126,13 +126,13 @@ class TestBackwardHydronet:
         w = LossWeights({"b1": 0.0, "b2": 0.0, "b3": 0.0, "b4": 1.0})
         _, grad = backward_hydronet(p, feats, labels, w)
         for bid in ("b1", "b2", "b3"):
-            assert np.all(grad.head_w[bid] == 0.0)
-            assert grad.head_b[bid] == 0.0
-        assert np.any(grad.head_w["b4"] != 0.0)
+            assert np.all(grad.block("head_w", bid) == 0.0)
+            assert grad.block("head_b", bid) == 0.0
+        assert np.any(grad.block("head_w", "b4") != 0.0)
         # information still flows through embeddings: the drain's loss
         # reaches upstream combiner and shared weights
         assert np.any(grad.shared_w != 0.0)
-        assert np.any(grad.combiner_w["b3"] != 0.0)
+        assert np.any(grad.block("combiner_w", "b3") != 0.0)
 
 
 def reference_backward(p, features, labels, w):
@@ -149,9 +149,9 @@ def reference_backward(p, features, labels, w):
         weight = w.weights.get(bid, 0.0)
         if weight:
             g_pred = 2.0 * weight * (preds[bid] - labels[bid]) / batch
-            grad.head_w[bid] += g_pred @ embeddings[bid].reshape(batch, t * k)
-            grad.head_b[bid] += float(np.sum(g_pred))
-            g_emb[bid] += (g_pred[:, None] * p.head_w[bid]).reshape(batch, t, k)
+            grad.block("head_w", bid)[...] += g_pred @ embeddings[bid].reshape(batch, t * k)
+            grad.block("head_b", bid)[...] += float(np.sum(g_pred))
+            g_emb[bid] += (g_pred[:, None] * p.block("head_w", bid)).reshape(batch, t, k)
         g_e = g_emb[bid]
         u = np.concatenate([features[bid], combined[bid]], axis=2)
         grad.shared_w += np.einsum("btk,btu->ku", g_e, u)
@@ -160,9 +160,9 @@ def reference_backward(p, features, labels, w):
         srcs = p.graph.upstream[bid]
         if srcs:
             stacked = np.concatenate([embeddings[j] for j in srcs], axis=2)
-            grad.combiner_w[bid] += np.einsum("btk,btv->kv", g_c, stacked)
-            grad.combiner_b[bid] += g_c.sum(axis=(0, 1))
-            g_stacked = g_c @ p.combiner_w[bid]
+            grad.block("combiner_w", bid)[...] += np.einsum("btk,btv->kv", g_c, stacked)
+            grad.block("combiner_b", bid)[...] += g_c.sum(axis=(0, 1))
+            g_stacked = g_c @ p.block("combiner_w", bid)
             for idx, j in enumerate(srcs):
                 g_emb[j] += g_stacked[:, :, idx * k : (idx + 1) * k]
     return loss, grad
@@ -271,8 +271,8 @@ class TestFiniteDifference:
         g = tree_from_parents([])
         dims = Dims(window=1, embedding=1, horizon=1, channels=1)
         p = init_hydronet(g, dims, 0)
-        p.shared_w = np.array([[0.7, 0.0]])
-        p.head_w = {"b0": np.array([1.5])}
+        p.shared_w[...] = [[0.7, 0.0]]
+        p.block("head_w", "b0")[...] = [1.5]
         x, y = 2.0, 1.0
         feats = {"b0": np.array([[[x]]])}
         labels = {"b0": np.array([y])}
@@ -341,6 +341,24 @@ class TestTrain:
                 with pytest.raises(HydroNetsError, match="diverged") as exc:
                     fit(p, train_set, cfg)
             assert "epoch" in str(exc.value)
+
+    def test_loss_weights_checked_before_the_first_step(self, monkeypatch):
+        g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
+        dims = Dims(window=3, embedding=2, horizon=1)
+        train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        p = init_hydronet(g, dims, 0)
+        uniform = LossWeights.uniform(g.basin_ids).weights
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr("hydronets.training.backward_hydronet", no_step)
+        cfg = TrainConfig(epochs=1, batch_size=8)
+        with pytest.raises(HydroNetsError, match="unknown-basin"):
+            train(p, train_set, cfg, LossWeights({**uniform, "nope": 1.0}))
+        for bad in (-5.0, math.nan, math.inf):
+            with pytest.raises(HydroNetsError, match="invalid-config"):
+                train(p, train_set, cfg, LossWeights({**uniform, g.basin_ids[0]: bad}))
 
     def test_empty_train_set(self):
         g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
