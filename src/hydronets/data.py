@@ -7,8 +7,10 @@ NaN throughout; windowing drops whole examples rather than imputing.
 :func:`load_series` reads a series file column by column: batches of CSV
 records are transposed and each column converted in one pass, and numpy
 builds the grid and the per-basin arrays (views of one array). The CSV
-reader reads the text through one small buffer per piece of about
-``_PIECE`` characters, so no buffer ever holds the whole text.
+reader reads the text through one ``io.StringIO`` per piece of about
+``_PIECE`` characters, so no buffer ever holds the whole text, and
+:func:`load_series` lets go of the text once it is parsed: a text passed
+as a temporary is freed before the grid is built.
 
 An :class:`ExampleSet` holds the normalized series once, as one
 ``(n_steps, n, d_x)`` grid, plus the anchors whose windows are complete.
@@ -204,12 +206,21 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     are rejected. Missing readings and basins of ``g`` missing from the
     file (entirely or at single steps) come back as NaN.
 
-    The CSV reader reads ``text`` through :func:`_pieces`, so lines, line
-    numbers and errors are those of one reader over the whole text.
+    The CSV reader reads ``text`` through :func:`_pieces`, each piece
+    through its own ``io.StringIO``, so lines, line numbers and errors are
+    those of one reader over the whole text: both split lines at line
+    feeds only, where ``str.splitlines`` would also split at ``\\v``,
+    ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``.
     Records are read in batches of ``_BATCH`` and converted column by
-    column, each column in one C-level pass; numpy then builds the grid,
-    finds repeated rows and writes every reading with one assignment. The
-    first faulty record in file order raises, with the error its first
+    column, each column in one C-level pass. Then the function drops its
+    references to ``text``: from CPython 3.11 a call's temporary argument
+    is held by the callee alone, so ``load_series(read_input(path), g)``
+    frees the text before the grid is built. numpy builds the grid, marks
+    the (basin, step) cell of every record and writes every reading with
+    one assignment. Only when fewer cells are marked than records read
+    does a stable sort of the records find the first repeated one.
+
+    The first faulty record in file order raises, with the error its first
     failing check gives: field count, timestamp (a 64-bit integer), basin,
     number syntax, finiteness. Grid and duplicate checks follow, over the
     whole file. Text the CSV reader itself rejects raises ``syntax-error``
@@ -218,8 +229,9 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     reader = csv.reader(itertools.chain.from_iterable(map(io.StringIO, _pieces(text))))
     index = {bid: i for i, bid in enumerate(g.basin_ids)}
     # Every record takes a line or more, so the columns can fill in place.
+    # They live beside the text, so basin indices take 4 bytes, not 8.
     bound = text.count("\n") + 1
-    ts, basin, readings = np.empty(bound, np.int64), np.empty(bound, np.intp), np.empty((bound, D_X))
+    ts, basin, readings = np.empty(bound, np.int64), np.empty(bound, np.int32), np.empty((bound, D_X))
     rows = 0
     try:
         header = next(reader, None)
@@ -238,23 +250,35 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
         raise HydroNetsError("syntax-error", f"line {reader.line_num}: {e}") from None
     if not rows:
         raise HydroNetsError("no-rows", "series file has no data rows")
+    # The columns hold all the grid needs, and ``text`` is often the
+    # caller's temporary: free it now.
+    del text, reader
     ts, basin, readings = ts[:rows], basin[:rows], readings[:rows]
 
-    grid, step = np.unique(ts, return_inverse=True)
+    # Not np.unique: on numpy 2 it hashes, which took 3 times as long as
+    # this, and its first call imports numpy.ma.
+    grid = np.sort(ts)
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     if len(grid) > 1:
         steps = np.diff(grid)
         if steps[0] <= 0 or not (steps == steps[0]).all():        # <= 0: int64 wrap-around
             raise HydroNetsError("non-uniform-grid", "timestamps are not uniformly spaced")
+    # A search, not ``(ts - grid[0]) // step``: exact even where that
+    # difference overflows int64.
+    step = np.searchsorted(grid, ts)
+    del ts
 
-    # A stable sort keeps equal cells in file order, so the first repeat
-    # in file order is the earliest non-first member of any run.
-    cell = step * len(index) + basin
-    order = np.argsort(cell, kind="stable")
-    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
-    if repeats.size:
-        row = repeats.min()
+    # A repeated record marks no new cell.
+    filled = np.zeros((len(index), len(grid)), dtype=bool)
+    filled[basin, step] = True
+    if np.count_nonzero(filled) != rows:
+        # A stable sort keeps equal cells in file order, so the first repeat
+        # in file order is the earliest non-first member of any run.
+        cell = step * len(index) + basin
+        order = np.argsort(cell, kind="stable")
+        row = order[1:][cell[order[1:]] == cell[order[:-1]]].min()
         raise HydroNetsError(
-            "duplicate-row", f"basin {g.basin_ids[basin[row]]!r} appears twice at timestamp {ts[row]}"
+            "duplicate-row", f"basin {g.basin_ids[basin[row]]!r} appears twice at timestamp {grid[step[row]]}"
         )
 
     values = np.full((len(index), len(grid), D_X), np.nan)
@@ -262,9 +286,10 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     return SeriesStore(timestamps=grid, values={bid: values[i] for bid, i in index.items()})
 
 
-# Characters of text per reader buffer. An io.StringIO of the whole text
-# would hold it at up to four bytes per character.
-_PIECE = 1 << 20
+# Characters of text per reader buffer. An io.StringIO holds its piece at
+# up to four bytes per character: at 1 << 20, that raised the peak of an
+# evaluate on a 19 MB series by about 2 MB.
+_PIECE = 1 << 18
 
 
 def _pieces(text: str) -> Iterator[str]:
@@ -295,7 +320,7 @@ def _columns(
             readings = np.array([[float(x) if x else math.nan for x in col] for col in (precip, level)]).T
             columns = (
                 np.array(list(map(int, ts)), dtype=np.int64),
-                np.array(list(map(index.__getitem__, bids)), dtype=np.intp),
+                np.array(list(map(index.__getitem__, bids)), dtype=np.int32),
                 readings,
             )
         except (ValueError, KeyError, OverflowError):
