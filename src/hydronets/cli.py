@@ -117,13 +117,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    # The checkpoint is checked before the series, the largest input, is
-    # read, so a bad checkpoint fails fast.
+    # The checkpoint, and its dims against the config's, are checked before
+    # the series, the largest input, is read, so a bad checkpoint fails fast.
     if cfg.synth is not None:
         g, store = generate_synthetic(cfg.synth)
     else:
         g, store = parse_region(read_input(cfg.region, "syntax-error")), None
     params = load_checkpoint(read_input(args.checkpoint, "bad-checkpoint"), g)
+    if params.dims != cfg.dims:
+        raise HydroNetsError("shape-mismatch", f"checkpoint {params.dims} differ from the config's {cfg.dims}")
     if store is None:
         store = load_series(read_input(cfg.series, "syntax-error"), g)
     _, test_set, stats = prepare_datasets(

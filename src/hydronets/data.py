@@ -6,15 +6,16 @@ NaN throughout; windowing drops whole examples rather than imputing.
 
 :func:`load_series` reads a series file column by column: batches of CSV
 records are transposed and each column converted in one pass, and numpy
-builds the grid and the per-basin arrays (views of one array). The CSV
+writes every reading into one ``(n_steps, n_basins, 2)`` grid. The CSV
 reader reads the text through one ``io.StringIO`` per piece of about
 ``_PIECE`` characters, so no buffer ever holds the whole text, and
 :func:`load_series` lets go of the text once it is parsed: a text passed
 as a temporary is freed before the grid is built.
 
-An :class:`ExampleSet` holds the normalized series once, as one
-``(n_steps, n, d_x)`` grid, plus the anchors whose windows are complete.
-No window is stored: a minibatch is gathered from the grid with one
+A :class:`SeriesStore`, its normalized copy and an :class:`ExampleSet`
+share that layout. An example set holds the normalized grid once, the
+store's own when it holds the region's basins in the region's order,
+plus the anchors whose windows are complete. No window is stored: a minibatch is gathered from the grid with one
 index, and full-set passes read the grid one lag at a time. The
 chronological split shares the grid and slices the rest.
 """
@@ -45,26 +46,26 @@ SERIES_HEADER = ("timestamp", "basin_id", "precip", "level")
 
 @dataclass(frozen=True)
 class SeriesStore:
-    """Aligned per-basin series on a uniform timestamp grid.
+    """Aligned series of several basins on a uniform timestamp grid.
 
-    ``values[basin]`` has shape (n_steps, 2) with NaN marking missing
-    readings. Immutable by convention; transformations return new stores.
+    ``grid[step, m]`` holds basin ``basin_ids[m]``'s readings at
+    ``timestamps[step]``, NaN where missing, in :class:`ExampleSet`'s
+    layout. Immutable by convention; transformations return new stores.
     """
 
-    timestamps: np.ndarray                 # (n,) int64 seconds, uniform step
-    values: dict[str, np.ndarray]          # basin id -> (n, 2) float64
-
-    @property
-    def basin_ids(self) -> tuple[str, ...]:
-        return tuple(self.values.keys())
+    timestamps: np.ndarray                 # (n_steps,) int64 seconds, uniform step
+    basin_ids: tuple[str, ...]
+    grid: np.ndarray                       # (n_steps, n_basins, 2) float64
 
     @property
     def n_steps(self) -> int:
         return len(self.timestamps)
 
     @property
-    def step_seconds(self) -> int:
-        return int(self.timestamps[1] - self.timestamps[0]) if self.n_steps > 1 else 0
+    def values(self) -> Mapping[str, np.ndarray]:
+        """Read-only mapping of basin id to its (n_steps, 2) view of the
+        grid."""
+        return types.MappingProxyType({bid: self.grid[:, m] for m, bid in enumerate(self.basin_ids)})
 
 
 @dataclass(frozen=True)
@@ -281,9 +282,9 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
             "duplicate-row", f"basin {g.basin_ids[basin[row]]!r} appears twice at timestamp {grid[step[row]]}"
         )
 
-    values = np.full((len(index), len(grid), D_X), np.nan)
-    values[basin, step] = readings
-    return SeriesStore(timestamps=grid, values={bid: values[i] for bid, i in index.items()})
+    values = np.full((len(grid), len(index), D_X), np.nan)
+    values[step, basin] = readings
+    return SeriesStore(timestamps=grid, basin_ids=g.basin_ids, grid=values)
 
 
 # Characters of text per reader buffer. An io.StringIO holds its piece at
@@ -369,13 +370,15 @@ def dump_series(store: SeriesStore) -> str:
     """Serialize a store to the series file format (sorted by timestamp
     then basin id; floats via repr so the file round-trips bit-exactly)."""
     out = [",".join(SERIES_HEADER)]
-    fields = {bid: _csv_field(bid) for bid in sorted(store.basin_ids)}
-    for i, ts in enumerate(store.timestamps):
-        for bid, field in fields.items():
-            precip, level = store.values[bid][i]
-            p = "" if math.isnan(precip) else repr(float(precip))
-            lv = "" if math.isnan(level) else repr(float(level))
-            out.append(f"{int(ts)},{field},{p},{lv}")
+    fields = sorted((bid, m, _csv_field(bid)) for m, bid in enumerate(store.basin_ids))
+    # Step by step: the whole grid as floats took 28 MB more at 63 basins.
+    for ts, step in zip(store.timestamps.tolist(), store.grid):
+        row = step.tolist()
+        for _, m, field in fields:
+            precip, level = row[m]
+            p = "" if math.isnan(precip) else repr(precip)
+            lv = "" if math.isnan(level) else repr(level)
+            out.append(f"{ts},{field},{p},{lv}")
     return "\n".join(out) + "\n"
 
 
@@ -398,12 +401,12 @@ def fit_norm_stats(store: SeriesStore, interval: tuple[int, int]) -> NormStats:
         raise HydroNetsError("empty-range", f"bad fit interval [{start}, {stop}) for {store.n_steps} steps")
     mean: dict[str, np.ndarray] = {}
     std: dict[str, np.ndarray] = {}
-    for bid, vals in store.values.items():
-        window = vals[start:stop]
+    window = store.grid[start:stop]
+    for j, bid in enumerate(store.basin_ids):
         m = np.empty(D_X)
         s = np.empty(D_X)
         for c in range(D_X):
-            col = window[:, c]
+            col = window[:, j, c]
             col = col[~np.isnan(col)]
             if col.size == 0:
                 raise HydroNetsError("empty-range", f"basin {bid!r} channel {CHANNELS[c]} all-missing in range")
@@ -417,30 +420,34 @@ def fit_norm_stats(store: SeriesStore, interval: tuple[int, int]) -> NormStats:
 
 
 def apply_norm(store: SeriesStore, stats: NormStats) -> SeriesStore:
-    """Z-score every channel; NaN stays NaN."""
-    values: dict[str, np.ndarray] = {}
-    for bid, vals in store.values.items():
+    """Z-score every channel into a new grid; NaN stays NaN."""
+    for bid in store.basin_ids:
         if bid not in stats.mean:
             raise HydroNetsError("missing-stats", f"no stats for basin {bid!r}")
-        values[bid] = (vals - stats.mean[bid]) / stats.std[bid]
-    return SeriesStore(timestamps=store.timestamps, values=values)
+    grid = store.grid - np.array([stats.mean[bid] for bid in store.basin_ids])
+    grid /= np.array([stats.std[bid] for bid in store.basin_ids])
+    return replace(store, grid=grid)
 
 
 def window_examples(store: SeriesStore, g: RegionGraph, window: int, horizon: int) -> ExampleSet:
     """Build supervised examples: one candidate per anchor ``t`` in
     ``[window-1, n-1-horizon]``; any NaN in any basin's window, label, or
-    persistence reading drops the whole candidate. The set holds
-    ``store``'s series once, as a read-only grid over ``g``'s basins."""
+    persistence reading drops the whole candidate. The set's read-only
+    grid is a view of ``store.grid`` when ``store`` holds ``g``'s basins
+    in ``g``'s order, and otherwise one take of ``g``'s columns."""
     if window < 1 or horizon < 1:
         raise HydroNetsError("bad-window", f"window and horizon must be >= 1, got {window}, {horizon}")
     n = store.n_steps
     if n < window + horizon:
         raise HydroNetsError("series-too-short", f"need at least {window + horizon} steps, have {n}")
-    for bid in g.basin_ids:
-        if bid not in store.values:
-            raise HydroNetsError("unknown-basin", f"store has no series for basin {bid!r}")
-
-    grid = np.stack([store.values[bid] for bid in g.basin_ids], axis=1)
+    if g.basin_ids == store.basin_ids:
+        grid = store.grid.view()
+    else:
+        index = {bid: m for m, bid in enumerate(store.basin_ids)}
+        for bid in g.basin_ids:
+            if bid not in index:
+                raise HydroNetsError("unknown-basin", f"store has no series for basin {bid!r}")
+        grid = np.take(store.grid, [index[bid] for bid in g.basin_ids], axis=1)
     grid.flags.writeable = False
     anchors = np.arange(window - 1, n - horizon)
     step_bad = np.isnan(grid).any(axis=(1, 2))
@@ -617,5 +624,5 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[RegionGraph, SeriesStore]:
 
     levels = route_levels(g, precip, scales, delays, attens, noise)
     timestamps = np.arange(n, dtype=np.int64) * STEP_SECONDS
-    values = {bid: np.stack([precip[bid], levels[bid]], axis=1) for bid in ids}
-    return g, SeriesStore(timestamps=timestamps, values=values)
+    grid = np.stack([np.column_stack([x[bid] for bid in ids]) for x in (precip, levels)], axis=2)
+    return g, SeriesStore(timestamps=timestamps, basin_ids=g.basin_ids, grid=grid)

@@ -282,6 +282,19 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--config", cfg_path, "--checkpoint", str(good)]) == 2
         assert capsys.readouterr().err.startswith("bad-header")
 
+    @pytest.mark.parametrize("model", ["hydronets", "linear"])
+    def test_checkpoint_dims_must_match_the_config(self, tmp_path, capsys, model):
+        cfg_path = write_exp_config(tmp_path / "exp.json", tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--model", model]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.json")
+        for edit in ({"horizon": 2}, {"embedding": 3}, {"window": 5}):
+            other = write_exp_config(tmp_path / "other.json", tmp_path / "run", dims={**DIMS, **edit})
+            capsys.readouterr()
+            assert main(["evaluate", "--config", other, "--checkpoint", ckpt]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("shape-mismatch") and "Traceback" not in err, err
+            assert str(Dims(**DIMS)) in err and str(Dims(**{**DIMS, **edit})) in err, err
+
     def test_linear_checkpoint_outside_the_region_exits_two(self, tmp_path, capsys):
         cfg_path = write_exp_config(tmp_path / "exp.json", tmp_path / "run")
         assert main(["train", "--config", cfg_path, "--model", "linear"]) == 0

@@ -38,7 +38,7 @@ from hydronets.errors import HydroNetsError
 from hydronets.metrics import evaluate
 from hydronets.model import Dims, init_flat, init_hydronet
 from hydronets.presets import chain_fixture, tree_fixture
-from hydronets.region import Basin, RegionGraph, drain_of, validate
+from hydronets.region import Basin, RegionGraph, drain_of, prune_to_depth, validate
 from hydronets.training import TrainConfig, train, train_flat
 
 from conftest import make_series_text, tree_from_parents
@@ -101,7 +101,7 @@ def reference_load_series(text, g):
         filled.add((ts, bid))
         values[bid][index[ts]] = (precip, level)
 
-    return SeriesStore(timestamps=grid, values=values)
+    return SeriesStore(timestamps=grid, basin_ids=g.basin_ids, grid=np.stack([values[bid] for bid in g.basin_ids], axis=1))
 
 
 def reference_window_examples(store, g, window, horizon):
@@ -195,7 +195,7 @@ class TestLoadSeries:
         store = load_series(make_series_text(fork_graph, 100), fork_graph)
         assert store.n_steps == 100
         assert store.basin_ids == fork_graph.basin_ids
-        assert store.step_seconds == 3600
+        assert (np.diff(store.timestamps) == 3600).all()
 
     def test_gap_in_grid(self, chain2):
         text = make_series_text(chain2, 5)
@@ -289,7 +289,7 @@ class TestLoadSeries:
         ids = ["a,b", 'say "hi"', "line\nbreak", "plain"]
         g = RegionGraph(basins=tuple(Basin(id=b, name=b) for b in ids), edges=())
         rng = np.random.default_rng(2)
-        store = SeriesStore(timestamps=np.arange(3) * 3600, values={b: rng.standard_normal((3, 2)) for b in ids})
+        store = SeriesStore(timestamps=np.arange(3) * 3600, basin_ids=tuple(ids), grid=np.stack([rng.standard_normal((3, 2)) for _ in ids], axis=1))
         text = dump_series(store)
         assert '\n0,"a,b",' in text and ',"say ""hi""",' in text and "\n0,plain," in text
         again = load_series(text, g)
@@ -446,6 +446,21 @@ class TestWindowing:
         examples = window_examples(store, g, window=window, horizon=horizon)
         assert len(examples) == n - window - horizon + 1
 
+    def test_grid_is_the_store_s_own_for_the_region_s_basins_in_order(self):
+        g, store = generate_synthetic(SynthConfig(branching=2, height=3, n_steps=60, seed=3))
+        store.grid[[7, 30], [3, 5], [LEVEL, PRECIP]] = np.nan           # b3 is kept below, b5 is not
+        examples = window_examples(store, g, window=5, horizon=2)
+        assert examples.grid.base is store.grid and examples.grid.shape == store.grid.shape
+        assert not examples.grid.flags.writeable and store.grid.flags.writeable
+        # b1's subtree is columns 1, 3 and 4: one take of those, the rest dropped.
+        sub = prune_to_depth(g, "b1", 2)
+        pruned = window_examples(store, sub, window=5, horizon=2)
+        assert not np.shares_memory(pruned.grid, store.grid) and not pruned.grid.flags.writeable
+        assert pruned.grid.tobytes() == store.grid[:, [1, 3, 4]].tobytes()
+        ref = reference_window_examples(store, sub, 5, 2)
+        assert_matches_reference(pruned, ref, np.arange(len(ref["anchors"])))
+        assert 9 not in pruned.anchors and 32 in pruned.anchors and 32 not in examples.anchors
+
     def test_persistence_is_level_at_anchor(self, fork_graph):
         store = load_series(make_series_text(fork_graph, 50), fork_graph)
         examples = window_examples(store, fork_graph, window=4, horizon=3)
@@ -466,7 +481,7 @@ def holed_stores(draw):
     values = rng.standard_normal((len(ids), n, D_X))
     holes = draw(st.integers(0, 6))
     values[rng.integers(len(ids), size=holes), rng.integers(n, size=holes), rng.integers(D_X, size=holes)] = np.nan
-    store = SeriesStore(timestamps=np.arange(n) * 3600, values=dict(zip(ids[::-1], values[::-1])))
+    store = SeriesStore(timestamps=np.arange(n) * 3600, basin_ids=tuple(ids[::-1]), grid=np.stack(values[::-1], axis=1))
     return g, store, window, horizon, rng
 
 
@@ -675,7 +690,7 @@ class TestMemory:
         g, store = generate_synthetic(tree_fixture())
         grid_bytes = store.n_steps * len(g.basin_ids) * D_X * 8
         (train_set, test_set, _), peak = traced_peak(prepare_datasets, store, g, 24, 2, 0.8)
-        assert peak < 5 * grid_bytes       # measured 3.1 grids; 26 when every window is stored
+        assert peak < 2.5 * grid_bytes     # measured 2.1 grids; 3.1 with a per-basin store, 26 when every window is stored
         assert train_set.grid is test_set.grid and train_set.grid.nbytes == grid_bytes
 
     def test_load_series_holds_no_copy_of_the_text(self):
