@@ -10,8 +10,9 @@ also takes ``null``, ``int`` takes a JSON integer but not a boolean,
 values of the wrong type raise ``invalid-config`` naming the field path.
 
 :func:`read_input` and :func:`parse_json` are the one guard every input
-file passes through: undecodable bytes and malformed JSON fail with the
-error code of the file's kind.
+file passes through: one leading UTF-8 byte-order mark is dropped, and
+undecodable bytes and malformed JSON fail with the error code of the
+file's kind.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ _SCALARS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def read_input(path: str | Path, code: str) -> str:
-    """Text of input file ``path``; bytes that are not UTF-8 raise ``code``."""
+    """Text of input file ``path``, without the byte-order mark spreadsheet
+    tools may write first; bytes that are not UTF-8 raise ``code``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise HydroNetsError(code, f"{path} is not UTF-8 text: {e}") from None
 

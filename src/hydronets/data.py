@@ -4,11 +4,16 @@ Feature layout is fixed at two channels per basin and step: column 0 is
 precipitation (mm/step), column 1 is water level (m). Missing values are
 NaN throughout; windowing drops whole examples rather than imputing.
 
-:func:`load_series` reads a series file column by column: batches of CSV
-records are transposed and each column converted in one pass, and numpy
-writes every reading into one ``(n_steps, n_basins, 2)`` grid. The CSV
-reader reads the text through one ``io.StringIO`` per piece of about
-``_PIECE`` characters, so no buffer ever holds the whole text, and
+:func:`load_series` reads a series file column by column, in pieces of
+about ``_PIECE`` characters, and numpy writes every reading into one
+``(n_steps, n_basins, 2)`` grid. A piece with no ``"`` or NUL, no ``\\r``
+outside ``\\r\\n``, three commas on every line and no line over
+``csv.field_size_limit()`` is split with ``str.split`` and its fields
+converted unstripped, which is exact: ``int()`` and ``float()`` skip the
+whitespace ``str.strip`` removes, a blank reading fails, and an id
+matches only ids equal to their stripped form. From the first other
+piece, or the first holding a faulty record, the CSV reader reads the
+rest, so every error is its own. No buffer holds the whole text, and
 :func:`load_series` lets go of the text once it is parsed: a text passed
 as a temporary is freed before the grid is built.
 
@@ -207,19 +212,28 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     are rejected. Missing readings and basins of ``g`` missing from the
     file (entirely or at single steps) come back as NaN.
 
-    The CSV reader reads ``text`` through :func:`_pieces`, each piece
-    through its own ``io.StringIO``, so lines, line numbers and errors are
-    those of one reader over the whole text: both split lines at line
-    feeds only, where ``str.splitlines`` would also split at ``\\v``,
-    ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``.
-    Records are read in batches of ``_BATCH`` and converted column by
-    column, each column in one C-level pass. Then the function drops its
-    references to ``text``: from CPython 3.11 a call's temporary argument
-    is held by the callee alone, so ``load_series(read_input(path), g)``
-    frees the text before the grid is built. numpy builds the grid, marks
-    the (basin, step) cell of every record and writes every reading with
-    one assignment. Only when fewer cells are marked than records read
-    does a stable sort of the records find the first repeated one.
+    The text is read in the pieces of :func:`_pieces`. A piece with no
+    ``"`` or NUL, no ``\\r`` outside ``\\r\\n``, exactly three commas on
+    every line and no line over ``csv.field_size_limit()`` is split with
+    ``str.split`` into the fields the CSV reader would read from it. They
+    are converted unstripped, which is exact: ``int()`` and ``float()``
+    skip the whitespace ``str.strip`` removes, a blank reading fails to
+    convert, and ids are looked up only among those equal to their
+    stripped form. From the first other piece, or the first holding a
+    faulty record, one CSV reader reads on from that piece's physical
+    line, each piece through its own ``io.StringIO``, in batches of
+    ``_BATCH`` records whose fields it strips; so lines, line numbers and
+    errors are those of one reader over the whole text. Both paths split
+    lines at line feeds only, where ``str.splitlines`` would also split at
+    ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and
+    ``\\u2029``. Each column is converted in one C-level pass. Then the
+    function drops its references to ``text``: from CPython 3.11 a call's
+    temporary argument is held by the callee alone, so
+    ``load_series(read_input(path), g)`` frees the text before the grid is
+    built. numpy builds the grid, marks the (basin, step) cell of every
+    record and writes every reading with one assignment. Only when fewer
+    cells are marked than records read does a stable sort of the records
+    find the first repeated one.
 
     The first faulty record in file order raises, with the error its first
     failing check gives: field count, timestamp (a 64-bit integer), basin,
@@ -227,33 +241,23 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     whole file. Text the CSV reader itself rejects raises ``syntax-error``
     with its physical line number as soon as it is read.
     """
-    reader = csv.reader(itertools.chain.from_iterable(map(io.StringIO, _pieces(text))))
+    if not text:
+        raise HydroNetsError("no-rows", "series file is empty")
     index = {bid: i for i, bid in enumerate(g.basin_ids)}
     # Every record takes a line or more, so the columns can fill in place.
     # They live beside the text, so basin indices take 4 bytes, not 8.
     bound = text.count("\n") + 1
     ts, basin, readings = np.empty(bound, np.int64), np.empty(bound, np.int32), np.empty((bound, D_X))
     rows = 0
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise HydroNetsError("no-rows", "series file is empty")
-        if tuple(h.strip() for h in header) != SERIES_HEADER:
-            raise HydroNetsError("bad-header", f"expected header {','.join(SERIES_HEADER)}")
-        first_line = 2
-        while batch := list(itertools.islice(reader, _BATCH)):
-            if records := list(filter(None, batch)):                # blank lines give []
-                end = rows + len(records)
-                ts[rows:end], basin[rows:end], readings[rows:end] = _columns(records, batch, first_line, index)
-                rows = end
-            first_line += len(batch)
-    except csv.Error as e:  # e.g. a field over the csv module's size limit
-        raise HydroNetsError("syntax-error", f"line {reader.line_num}: {e}") from None
+    for columns in _records(text, index):
+        end = rows + len(columns[0])
+        ts[rows:end], basin[rows:end], readings[rows:end] = columns
+        rows = end
     if not rows:
         raise HydroNetsError("no-rows", "series file has no data rows")
     # The columns hold all the grid needs, and ``text`` is often the
     # caller's temporary: free it now.
-    del text, reader
+    del text
     ts, basin, readings = ts[:rows], basin[:rows], readings[:rows]
 
     # Not np.unique: on numpy 2 it hashes, which took 3 times as long as
@@ -287,10 +291,12 @@ def load_series(text: str, g: RegionGraph) -> SeriesStore:
     return SeriesStore(timestamps=grid, basin_ids=g.basin_ids, grid=values)
 
 
-# Characters of text per reader buffer. An io.StringIO holds its piece at
-# up to four bytes per character: at 1 << 20, that raised the peak of an
-# evaluate on a 19 MB series by about 2 MB.
-_PIECE = 1 << 18
+# Characters of text per piece. A split piece takes a string per field,
+# and an io.StringIO holds its piece at up to four bytes per character.
+# On a 19 MB series, an evaluate's parse peaked 2.9 MB below its file
+# read at 1 << 16, and above it at 1 << 18 (by 1.6 MB) and, through the
+# CSV reader alone, at 1 << 20 (by about 2 MB).
+_PIECE = 1 << 16
 
 
 def _pieces(text: str) -> Iterator[str]:
@@ -303,34 +309,135 @@ def _pieces(text: str) -> Iterator[str]:
         start = end
 
 
-# Records converted per batch. A batch's row lists stay alive until it is
-# converted; much larger batches measured slower (the cyclic garbage
-# collector rescans the live row lists) and take more memory.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]   # timestamps, basin indices, (n, 2) readings
+
+
+def _records(text: str, index: dict[str, int]) -> Iterator[Columns]:
+    """The converted data records of ``text``, a batch at a time: each
+    plain piece split by :func:`_split`, and from the first piece that is
+    not plain or holds a faulty record on, :func:`_read_csv`."""
+    # Split fields keep their surrounding whitespace: an id that differs
+    # from its stripped form would match there and not in the CSV reader.
+    plain = {bid: i for bid, i in index.items() if bid == bid.strip()}
+    line = 1                                # physical line the next piece starts on
+    pieces = _pieces(text)
+    for piece in pieces:
+        fields = _split(piece)
+        if fields is None:
+            break
+        head = 4 if line == 1 else 0
+        if head:
+            _check_header(fields[:4])
+        columns = _columns(*(fields[head + k :: 4] for k in range(4)), plain)
+        if columns is None:
+            break
+        yield columns
+        line += len(fields) // 4
+    else:
+        return
+    yield from _read_csv(itertools.chain([piece], pieces), line, index)
+
+
+def _split(piece: str) -> list[str] | None:
+    """The fields of ``piece``, four to a line, when the CSV reader would
+    read the same fields from it; None when it might not."""
+    # NUL: the CSV reader rejects it before Python 3.11.
+    if '"' in piece or "\0" in piece:
+        return None
+    if "\r" in piece:
+        piece = piece.replace("\r\n", "\n")
+        if "\r" in piece:
+            return None
+    if not piece.endswith("\n"):
+        piece += "\n"
+    if not _four_fields_a_line(piece.encode("utf-8", "surrogatepass")):
+        return None
+    fields = piece.replace("\n", ",").split(",")
+    fields.pop()
+    return fields
+
+
+def _four_fields_a_line(text: bytes) -> bool:
+    """Whether every line of ``text``, which ends in a line feed, holds
+    exactly three commas and is no longer than ``csv.field_size_limit()``."""
+    codes = np.frombuffer(text, np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    commas = np.flatnonzero(codes == ord(","))
+    if len(commas) != 3 * len(ends):
+        return False
+    # A total is not enough: a line of five fields and one of three would
+    # split as two of four. Lengths are in bytes, never fewer than
+    # characters.
+    starts = np.concatenate(([-1], ends[:-1]))
+    commas = commas.reshape(-1, 3)
+    return bool((commas[:, 0] > starts).all() and (commas[:, 2] < ends).all()
+                and (ends - starts).max() <= csv.field_size_limit() + 1)
+
+
+# Records read per batch by the CSV reader. A batch's row lists stay alive
+# until it is converted; much larger batches measured slower (the cyclic
+# garbage collector rescans the live row lists) and take more memory.
 _BATCH = 4096
 
 
+def _read_csv(pieces: Iterator[str], line: int, index: dict[str, int]) -> Iterator[Columns]:
+    """The converted data records of ``pieces``, read with the CSV reader,
+    whose first line is physical line ``line`` of the text: the header
+    when ``line`` is 1. The first faulty record raises
+    :func:`_first_fault`'s error."""
+    reader = csv.reader(itertools.chain.from_iterable(map(io.StringIO, pieces)))
+    try:
+        if line == 1:
+            _check_header(next(reader, []))
+        first_line = max(line, 2)
+        # A batch is read whole before its records are checked, so batches
+        # start at lines 2 + k * _BATCH wherever the reader starts: which of
+        # a faulty record and text the reader rejects raises stays the same.
+        size = _BATCH - (first_line - 2) % _BATCH
+        while batch := list(itertools.islice(reader, size)):
+            if records := list(filter(None, batch)):                # blank lines give []
+                columns = None
+                if set(map(len, records)) == {4}:
+                    columns = _columns(*(list(map(str.strip, col)) for col in zip(*records)), index)
+                if columns is None:
+                    raise _first_fault(records, batch, first_line, index)
+                yield columns
+            first_line += len(batch)
+            size = _BATCH
+    except csv.Error as e:  # e.g. a field over the csv module's size limit
+        raise HydroNetsError("syntax-error", f"line {line - 1 + reader.line_num}: {e}") from None
+
+
+def _check_header(header: list[str]) -> None:
+    if tuple(h.strip() for h in header) != SERIES_HEADER:
+        raise HydroNetsError("bad-header", f"expected header {','.join(SERIES_HEADER)}")
+
+
 def _columns(
-    records: list[list[str]], batch: list[list[str]], first_line: int, index: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Timestamps, basin indices and (n, 2) readings of ``records``, the
-    non-empty records of ``batch``, whose first record is line
-    ``first_line``. Any fault raises :func:`_first_fault`'s error."""
-    if set(map(len, records)) == {4}:
-        ts, bids, precip, level = (list(map(str.strip, col)) for col in zip(*records))
-        try:
-            readings = np.array([[float(x) if x else math.nan for x in col] for col in (precip, level)]).T
-            columns = (
-                np.array(list(map(int, ts)), dtype=np.int64),
-                np.array(list(map(index.__getitem__, bids)), dtype=np.int32),
-                readings,
-            )
-        except (ValueError, KeyError, OverflowError):
-            pass
-        else:
-            # An empty field is the only way a reading may be NaN.
-            if not np.isinf(readings).any() and np.isnan(readings).sum() == precip.count("") + level.count(""):
-                return columns
-    raise _first_fault(records, batch, first_line, index)
+    ts: list[str], bids: list[str], precip: list[str], level: list[str], index: dict[str, int]
+) -> Columns | None:
+    """The converted columns of a batch of records, or None when a field
+    fails a check. Only an empty reading is NaN."""
+    empty = precip.count("") + level.count("")
+    convert = _reading if empty else float      # float alone took 60% of the time
+    n = len(ts)
+    try:
+        readings = np.stack([np.fromiter(map(convert, col), float, n) for col in (precip, level)], axis=1)
+        columns = (
+            np.fromiter(map(int, ts), np.int64, n),
+            np.fromiter(map(index.__getitem__, bids), np.int32, n),
+            readings,
+        )
+    except (ValueError, KeyError, OverflowError):
+        return None
+    # An empty field is the only way a reading may be NaN.
+    if np.isinf(readings).any() or np.isnan(readings).sum() != empty:
+        return None
+    return columns
+
+
+def _reading(field: str) -> float:
+    return float(field) if field else math.nan
 
 
 def _first_fault(

@@ -198,11 +198,19 @@ def load_inputs(cfg: ExperimentConfig) -> tuple[RegionGraph, SeriesStore, dict[s
         series_text = read_input(cfg.series, "syntax-error")
         g = parse_region(region_text)
         store = load_series(series_text, g)
-    hashes = {
-        "region": hashlib.sha256(region_text.encode()).hexdigest(),
-        "series": hashlib.sha256(series_text.encode()).hexdigest(),
-    }
-    return g, store, hashes
+    return g, store, {"region": _sha256(region_text), "series": _sha256(series_text)}
+
+
+_HASH_PIECE = 1 << 18           # characters
+
+
+def _sha256(text: str) -> str:
+    """Hex sha256 of ``text`` as UTF-8, encoded a piece at a time: encoded
+    whole, the text's bytes and the text live at once."""
+    digest = hashlib.sha256()
+    for start in range(0, len(text), _HASH_PIECE):
+        digest.update(text[start : start + _HASH_PIECE].encode())
+    return digest.hexdigest()
 
 
 def _basins(cfg: ExperimentConfig, g: RegionGraph) -> tuple[str, ...]:

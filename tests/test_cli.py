@@ -257,6 +257,24 @@ class TestTrainEvaluate:
             err = capsys.readouterr().err
             assert code in err and "Traceback" not in err, (argv, err)
 
+    def test_inputs_may_start_with_a_byte_order_mark(self, tmp_path, fork_graph):
+        # Spreadsheet tools write one. The manifest hashes the text after it.
+        runs = []
+        for name, mark in [("plain", ""), ("marked", "\ufeff")]:
+            d = tmp_path / name
+            d.mkdir()
+            (d / "region.json").write_text(mark + dump_region(fork_graph), encoding="utf-8")
+            (d / "series.csv").write_text(mark + make_series_text(fork_graph, 60), encoding="utf-8")
+            cfg = Path(write_exp_config(
+                d / "exp.json", d / "run", synth=None, region=str(d / "region.json"), series=str(d / "series.csv"),
+            ))
+            cfg.write_text(mark + cfg.read_text(), encoding="utf-8")
+            assert main(["exp-depth", "--config", str(cfg)]) == 0
+            assert main(["validate", str(d / "region.json")]) == 0
+            manifest = json.loads((d / "run" / "manifest.json").read_text())
+            runs.append((manifest["inputs"], (d / "run" / "report.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_bad_checkpoint_fails_before_the_series_is_read(self, tmp_path, capsys, monkeypatch, fork_graph):
         region, series = tmp_path / "region.json", tmp_path / "series.csv"
         region.write_text(dump_region(fork_graph))

@@ -1,12 +1,15 @@
 """Experiment runners, report emission, and reproducibility."""
 
+import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hydronets import experiments
 from hydronets.data import SynthConfig
 from hydronets.errors import HydroNetsError
 from hydronets.experiments import (
@@ -136,6 +139,35 @@ class TestConfig:
         assert g == fork_graph
         assert store.n_steps == 30
         assert set(hashes) == {"region", "series"}
+
+    @staticmethod
+    def hashes_of(texts, tmp_path, monkeypatch):
+        """load_inputs' hashes of the texts ``texts["r"]`` and ``texts["s"]``,
+        and the peak of the memory it allocated, with no file read and no
+        parse."""
+        monkeypatch.setattr(experiments, "read_input", lambda path, code: texts[path])
+        monkeypatch.setattr(experiments, "parse_region", lambda text: None)
+        monkeypatch.setattr(experiments, "load_series", lambda text, g: None)
+        tracemalloc.start()
+        try:
+            _, _, hashes = load_inputs(tiny_config(tmp_path, synth=None, region="r", series="s"))
+            return hashes, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_input_hashes_are_those_of_the_text(self, tmp_path, monkeypatch):
+        # Characters of 1 to 4 bytes fall on every side of the pieces' boundaries.
+        texts = {"r": "région", "s": "aé€😀" * 1000}
+        monkeypatch.setattr(experiments, "_HASH_PIECE", 7)
+        hashes, _ = self.hashes_of(texts, tmp_path, monkeypatch)
+        assert hashes == {"region": hashlib.sha256(texts["r"].encode()).hexdigest(),
+                          "series": hashlib.sha256(texts["s"].encode()).hexdigest()}
+
+    def test_input_hashes_take_no_copy_of_the_text(self, tmp_path, monkeypatch):
+        texts = {"r": "region", "s": "0,b1,1.0,2.0\n" * 300_000}        # 3.9 MB
+        hashes, peak = self.hashes_of(texts, tmp_path, monkeypatch)
+        assert hashes["series"] == hashlib.sha256(texts["s"].encode()).hexdigest()
+        assert peak < 0.25 * len(texts["s"])    # measured 0.13 texts; 1.0 when encoded whole
 
 
 class TestDepthRunner:
