@@ -59,7 +59,6 @@ from .training import (
     LossWeights,
     TrainConfig,
     TrainResult,
-    backward_flat,
     backward_hydronet,
     finite_difference_grad,
     train,
@@ -85,7 +84,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "ValidationReport",
-    "backward_flat",
     "backward_hydronet",
     "drain_of",
     "dump_region",

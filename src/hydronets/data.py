@@ -502,6 +502,8 @@ def fit_norm_stats(store: SeriesStore, interval: tuple[int, int]) -> NormStats:
 
     Population convention (divide by N). Constant channels are rejected:
     the linear models need every channel to carry signal after scaling.
+    So are finite readings whose mean or std overflows, or whose std
+    underflows to zero, as ``non-finite``: their z-scores would not be.
     """
     start, stop = interval
     if not (0 <= start < stop <= store.n_steps):
@@ -515,12 +517,18 @@ def fit_norm_stats(store: SeriesStore, interval: tuple[int, int]) -> NormStats:
         for c in range(D_X):
             col = window[:, j, c]
             col = col[~np.isnan(col)]
+            name = f"basin {bid!r} channel {CHANNELS[c]}"
             if col.size == 0:
-                raise HydroNetsError("empty-range", f"basin {bid!r} channel {CHANNELS[c]} all-missing in range")
-            m[c] = col.mean()
-            s[c] = col.std()
-            if s[c] == 0.0:
-                raise HydroNetsError("constant-channel", f"basin {bid!r} channel {CHANNELS[c]} is constant")
+                raise HydroNetsError("empty-range", f"{name} all-missing in range")
+            with np.errstate(over="ignore", invalid="ignore"):
+                m[c] = col.mean()
+                s[c] = col.std()
+            if not (np.isfinite(m[c]) and np.isfinite(s[c])):
+                raise HydroNetsError("non-finite", f"{name} overflows: mean {m[c]}, std {s[c]}")
+            if s[c] == 0.0 and col.min() != col.max():
+                raise HydroNetsError("non-finite", f"{name} varies, but its std underflows to 0")
+            elif s[c] == 0.0:
+                raise HydroNetsError("constant-channel", f"{name} is constant")
         mean[bid] = m
         std[bid] = s
     return NormStats(mean=mean, std=std, interval=(start, stop))

@@ -213,6 +213,14 @@ def _sha256(text: str) -> str:
     return digest.hexdigest()
 
 
+def _reject_unread(cfg: ExperimentConfig, runner: str, *names: str) -> None:
+    """Fail on a set field the runner never reads, which would otherwise
+    be ignored without a word."""
+    for name in names:
+        if getattr(cfg, name) is not None:
+            raise HydroNetsError("invalid-config", f"{runner} does not read {name}: leave it null")
+
+
 def _basins(cfg: ExperimentConfig, g: RegionGraph) -> tuple[str, ...]:
     """The basins a runner reports on: ``cfg.basins``, all of ``g`` when unset."""
     basins = cfg.basins or g.basin_ids
@@ -304,6 +312,7 @@ def run_depth_experiment(cfg: ExperimentConfig) -> ReportTable:
     that subtree, so at every depth they see the same features.
     """
     cfg.check()
+    _reject_unread(cfg, "exp-depth", "basins", "sizes")
     g, store, hashes = load_inputs(cfg)
     drain = drain_of(g)
     depths = range(1, height(g) + 1)
@@ -355,6 +364,7 @@ def run_all_basins(cfg: ExperimentConfig) -> tuple[ReportTable, tuple[Comparison
     trains on the target's depth-limited subtree.
     """
     cfg.check()
+    _reject_unread(cfg, "exp-basins", "sizes")
     g, store, hashes = load_inputs(cfg)
     targets = _basins(cfg, g)
 

@@ -9,9 +9,9 @@ stronger reference, so this score separates models far better than NSE.
 Both are 1 for perfect predictions, 0 for baseline parity, negative when
 the model loses to the baseline.
 
-:func:`evaluate` scores the tree model through its folded per-basin
-filters, read off one forward pass over the probe batch as in training
-and applied one lag at a time to the example set's grid.
+:func:`evaluate` scores either model kind through its affine filter, as
+in training: the tree's folded per-basin filters or the flat baseline's
+one, applied one lag at a time to the example set's grid.
 """
 
 from __future__ import annotations
@@ -23,14 +23,7 @@ import numpy as np
 
 from .data import ExampleSet, NormStats
 from .errors import HydroNetsError
-from .model import (
-    FlatLinearParams,
-    HydroNetParams,
-    fold,
-    forward_batch,
-    forward_flat_set,
-    probe_batch,
-)
+from .model import FlatLinearParams, HydroNetParams, flat_filters, fold, forward_batch, probe_batch
 
 
 def mse(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -113,28 +106,25 @@ def evaluate(
     examples: ExampleSet,
     norm: NormStats | None = None,
 ) -> MetricsReport:
-    """Score a model on an example set, per basin.
+    """Score a model on an example set at each basin its filter forecasts.
 
     Tree models are scored at every basin, through the per-basin filters
     folded from one :func:`~hydronets.model.forward_batch` over the probe
-    batch (as in training), applied one lag at a time to the set's grid,
-    so neither the tree nor any window array is evaluated per example.
-    The flat baseline is scored only at its target. Passing the
-    normalization stats converts predictions, labels, and the persistence
-    reference back to raw units before scoring.
+    batch (as in training); the flat baseline only at its target. The
+    filters are applied one lag at a time to the set's grid, so no window
+    array is built. Passing the normalization stats converts predictions,
+    labels, and the persistence reference back to raw units before
+    scoring.
     """
     if len(examples) == 0:
         raise HydroNetsError("empty-metric-input", "cannot evaluate on zero examples")
     if isinstance(p, FlatLinearParams):
-        preds = forward_flat_set(p, examples)
-        score = _score_basin(p.target, preds, examples.labels[p.target], examples.persist[p.target], norm)
-        return MetricsReport(scores=(score,))
-
-    cols = examples.columns(p.graph.basin_ids, p.dims.window, p.dims.channels)
-    f = fold(p, forward_batch(p, probe_batch(p.graph, p.dims))[1])
-    preds = examples.lagged_dot(cols, f.weights) + f.bias
+        f = flat_filters(p)
+    else:
+        f = fold(p, forward_batch(p, probe_batch(p.graph, p.dims))[1])
+    preds = f.forecast(examples)
     scores = tuple(
         _score_basin(bid, preds[:, i], examples.labels[bid], examples.persist[bid], norm)
-        for i, bid in enumerate(p.graph.basin_ids)
+        for i, bid in enumerate(f.targets)
     )
     return MetricsReport(scores=scores)

@@ -18,19 +18,15 @@ one above its highest source), each level in a fixed number of numpy
 calls: one batched matmul through the (K, K) combiner block of every
 source of its basins, a sum per basin, and one shared-map matmul.
 
-Since all three sub-models are affine, each forecast is also an affine
-filter over the windows of the basins that drain into its basin;
-:func:`fold` reads those :class:`Filters` off one :func:`forward_batch`
-over the unit-impulse :func:`probe_batch`. Their weights form one
-(T * n * d_x, n) matrix, lag-major like a gathered minibatch, so a batch's
-forecasts are one matmul, and a whole example set's are one matmul per
-lag straight from its grid (:meth:`~hydronets.data.ExampleSet.lagged_dot`).
-Training and :func:`~hydronets.metrics.evaluate` both go through the
-fold; the per-window :func:`forward_batch` serves the probe, single
-examples (:func:`forward_hydronet`) and the tests.
-
-The flat baseline ignores the tree and regresses the forecast on the
-concatenated feature windows of a basin subtree.
+Since all three sub-models are affine, each forecast is an affine filter
+over the windows of the basins that drain into its basin; the flat
+baseline ignores the tree and is one filter over a subtree's windows. Both
+kinds forecast through :class:`Filters`: a batch's forecasts, and their
+gradient with respect to the filter, are one matmul each, and a whole
+example set's forecasts one matmul per lag straight from its grid.
+:func:`fold` reads the tree's filters off :func:`forward_batch` on the
+unit-impulse :func:`probe_batch`; single examples and the tests run
+:func:`forward_batch` itself.
 
 A batch of features is either a mapping from basin to (B, T, d_x) windows
 or one (B, T, n, d_x) array over the model's basins, as
@@ -304,7 +300,7 @@ class _Plan:
     field's ``(name, slice, shape)`` in the vector, the vector's size,
     each :func:`layout` block's index into its field, the levels from the
     sources down, ``(basin, index)`` in topological order, the subtree
-    mask (:class:`Filters`) and :func:`probe_batch`."""
+    mask (:class:`TreeFilters`) and :func:`probe_batch`."""
 
     fields: tuple[tuple[str, slice, tuple[int, ...]], ...]
     size: int
@@ -393,32 +389,50 @@ def probe_batch(g: RegionGraph, dims: Dims) -> Mapping[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class Filters:
-    """The tree folded into one affine filter per basin.
-
-    Basins are indexed ``i`` (the forecast) and ``m`` (an input) in
-    ``basin_ids`` order, and ``n`` is the number of basins. ``zero[i]`` is
-    basin i's embedding when every input is zero; row ``m * d_x + c`` of
-    ``response[i]`` is how much it moves per unit of basin m's channel c at
-    the same step, exactly zero unless m drains into i (``inside``).
-    Row ``(t * n + m) * d_x + c`` of ``weights`` maps lag t of basin m's
-    channel c to every basin's forecast, which for a flattened (T, n, d_x)
-    window ``x`` is ``x @ weights + bias``.
-    """
+    """Affine filters forecasting ``targets`` from the windows of the k
+    basins ``basin_ids``. Row ``(t * k + m) * d_x + c`` of ``weights``
+    maps lag t of channel c of the m-th input basin to every target's
+    forecast, which for a flattened (T, k, d_x) window ``x`` is
+    ``x @ weights + bias``."""
 
     basin_ids: tuple[str, ...]
+    targets: tuple[str, ...]
+    dims: Dims
+    weights: np.ndarray                    # (T * k * d_x, outputs)
+    bias: np.ndarray                       # (outputs,)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Forecasts (B, outputs) for a gathered (B, T, k, d_x) batch: one matmul."""
+        return x.reshape(len(x), -1) @ self.weights + self.bias
+
+    def forecast(self, examples: ExampleSet) -> np.ndarray:
+        """Forecasts (N, outputs) of every example of ``examples``, read
+        from its grid one lag at a time."""
+        cols = examples.columns(self.basin_ids, self.dims.window, self.dims.channels)
+        return examples.lagged_dot(cols, self.weights) + self.bias
+
+    def gradient(self, x: np.ndarray, g_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A loss's gradients by ``weights``, transposed, and by ``bias``,
+        from ``g_pred``, its gradient by :meth:`apply`'s forecasts on ``x``."""
+        return g_pred.T @ x.reshape(len(x), -1), g_pred.sum(axis=0)
+
+
+@dataclass(frozen=True)
+class TreeFilters(Filters):
+    """The tree folded into one filter per basin: each of the ``n`` basins
+    is an input ``m`` and a target ``i``, in ``basin_ids`` order.
+    ``zero[i]`` is basin i's embedding when every input is zero; row
+    ``m * d_x + c`` of ``response[i]`` is how much it moves per unit of
+    basin m's channel c at the same step, exactly zero unless m drains
+    into i (``inside``)."""
+
     zero: np.ndarray                       # (n, K)
     response: np.ndarray                   # (n, n * d_x, K)
     inside: np.ndarray                     # (n, n * d_x, 1) bool
     heads: np.ndarray                      # (n, T, K): head_w reshaped
-    weights: np.ndarray                    # (T * n * d_x, n)
-    bias: np.ndarray                       # (n,)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Forecasts (B, n) for a (B, T, n, d_x) batch: one matmul."""
-        return x.reshape(len(x), -1) @ self.weights + self.bias
 
 
-def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> Filters:
+def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> TreeFilters:
     """Per-basin filters from the embeddings :func:`forward_batch` gives
     on :func:`probe_batch`. Exact, because every sub-model is affine."""
     ids = p.graph.basin_ids
@@ -434,7 +448,7 @@ def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> Filters:
     np.matmul(heads, response.transpose(0, 2, 1), out=weights.transpose(2, 0, 1))
     weights = weights.reshape(t * n * d_x, n)
     bias = np.sum(heads.sum(axis=1) * zero, axis=1) + p.head_b
-    return Filters(ids, zero, response, inside, heads, weights, bias)
+    return TreeFilters(ids, ids, p.dims, weights, bias, zero, response, inside, heads)
 
 
 def forward_hydronet(p: HydroNetParams, ex: Example) -> ForwardTrace:
@@ -448,31 +462,17 @@ def forward_hydronet(p: HydroNetParams, ex: Example) -> ForwardTrace:
     )
 
 
-def flat_design_matrix(p: FlatLinearParams, features: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:
-    """(B, D) design matrix of a batch over ``p.included``, lag-major like
-    the batch itself: column ``(t * k + j) * d_x + c`` is lag t of channel
-    c of the j-th of the k included basins. Its weights are
-    ``p.weights[lag_order(p)]``."""
-    x = as_batch(p.included, p.dims, features)
-    return x.reshape(len(x), -1)
-
-
 def lag_order(p: FlatLinearParams) -> np.ndarray:
     """Index into ``p.weights``, which run basin by basin, of the weight of
-    each lag-major design column."""
+    each lag-major window column."""
     k, t, d_x = len(p.included), p.dims.window, p.dims.channels
     return np.arange(k * t * d_x).reshape(k, t, d_x).transpose(1, 0, 2).ravel()
 
 
-def forward_flat_batch(p: FlatLinearParams, features: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:
-    return flat_design_matrix(p, features) @ p.weights[lag_order(p)] + p.bias
-
-
-def forward_flat_set(p: FlatLinearParams, examples: ExampleSet) -> np.ndarray:
-    """The flat forecast (N,) of every example of ``examples``, read from
-    its grid one lag at a time."""
-    cols = examples.columns(p.included, p.dims.window, p.dims.channels)
-    return examples.lagged_dot(cols, p.weights[lag_order(p), None])[:, 0] + p.bias
+def flat_filters(p: FlatLinearParams) -> Filters:
+    """The flat model as a filter forecasting its target: its weights in
+    :func:`lag_order`, and its bias."""
+    return Filters(p.included, (p.target,), p.dims, p.weights[lag_order(p), None], np.array([p.bias]))
 
 
 def param_count(p: HydroNetParams | FlatLinearParams) -> int:

@@ -1,22 +1,22 @@
 """Loss, analytic gradients, and the training loop.
 
-Gradients for the tree model are computed by hand in two stages. The
-batch meets the model only through the folded per-basin filters
-(:func:`~hydronets.model.fold`): its forecasts, and the gradient with
-respect to the filters, are one matmul each against the batch's windows,
-gathered from the example set's grid in one index. The filter gradient
-then seeds reverse-mode accumulation over the region graph on the small
-probe batch the filters were read from. The sweep runs one tree level at
-a time, drain-first, so each basin's embedding gradient already includes
-the contribution routed back through every downstream combiner when its
-own level is reached. A level is a fixed number of numpy calls: the
-combined-input gradients of its basins, one batched matmul for the
-combiner blocks of every source feeding them, and one indexed add of the
-routed gradient into those sources. The shared map's gradient is one
-matmul over all basins after the sweep. Every block of the gradient is
-written straight into its view of one new vector laid out like the
-parameters. The flat baseline is ordinary linear least squares
-machinery.
+Both model kinds meet a batch only through their affine filters
+(:class:`~hydronets.model.Filters`): the forecasts, and the gradient with
+respect to the filter, are one matmul each against the batch's windows,
+gathered from the example set's grid in one index. The flat baseline's
+filter is its weights reordered, so that gradient is its own, scattered
+back to the basin-major weights. The tree's is folded from the tree
+(:func:`~hydronets.model.fold`), so it seeds reverse-mode accumulation
+over the region graph on the small probe batch the filters were read
+from. The sweep runs one tree level at a time, drain-first, so each
+basin's embedding gradient already includes the contribution routed back
+through every downstream combiner when its own level is reached. A level
+is a fixed number of numpy calls: the combined-input gradients of its
+basins, one batched matmul for the combiner blocks of every source
+feeding them, and one indexed add of the routed gradient into those
+sources. The shared map's gradient is one matmul over all basins after
+the sweep. Every block of the gradient is written straight into its view
+of one new vector laid out like the parameters.
 
 Both model kinds train in one minibatch loop on the parameter vector;
 :func:`train` and :func:`train_flat` only supply its batch loss and
@@ -26,7 +26,7 @@ gradient and its full-set loss, which reads the grid one lag at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -38,10 +38,9 @@ from .model import (
     HydroNetParams,
     _plan,
     as_batch,
-    flat_design_matrix,
+    flat_filters,
     fold,
     forward_batch,
-    forward_flat_set,
     lag_order,
     probe_batch,
 )
@@ -139,8 +138,8 @@ def backward_hydronet(
     # Filter gradients, one (T, n * d_x) block per forecast basin, then
     # through the fold: weights_i = H_i @ R_i^T and
     # bias_i = sum_t H_i[t] . q_i + head_b_i.
-    g_f = (g_pred.T @ x.reshape(batch, -1)).reshape(n, t, n * d_x)
-    g_bias = g_pred.sum(axis=0)                                          # (n,)
+    g_f, g_bias = f.gradient(x, g_pred)
+    g_f = g_f.reshape(n, t, n * d_x)
     grad = p.unpack(np.zeros(plan.size))
     grad.head_w[...] = (g_f @ f.response + g_bias[:, None, None] * f.zero[:, None, :]).reshape(n, t * k)
     grad.head_b[...] = g_bias
@@ -175,24 +174,6 @@ def backward_hydronet(
     grad.shared_w[...] = g_e.reshape(-1, k).T @ u.reshape(-1, d_x + k)
     grad.shared_b[...] = g_e.sum(axis=(0, 1))
     return loss, grad
-
-
-def backward_flat(
-    p: FlatLinearParams, features: Mapping[str, np.ndarray] | np.ndarray, labels: np.ndarray
-) -> tuple[float, FlatLinearParams]:
-    """Loss and gradient of mean squared error at the target basin."""
-    design = flat_design_matrix(p, features)
-    order = lag_order(p)
-    preds = design @ p.weights[order] + p.bias
-    err = preds - labels
-    batch = len(labels)
-    loss = float(np.mean(err * err))
-    g_pred = 2.0 * err / batch
-    g_weights = np.empty_like(p.weights)
-    g_weights[order] = g_pred @ design
-    return loss, FlatLinearParams(
-        target=p.target, included=p.included, dims=p.dims, weights=g_weights, bias=float(np.sum(g_pred)),
-    )
 
 
 def finite_difference_grad(loss_fn, params, eps: float = 1e-5) -> np.ndarray:
@@ -292,23 +273,28 @@ def train(
         return backward_hydronet(q, examples.windows(idx, cols), labels, w)
 
     def full_loss(q: HydroNetParams) -> float:
-        f = fold(q, forward_batch(q, probe_batch(q.graph, q.dims))[1])
-        preds = examples.lagged_dot(cols, f.weights) + f.bias
+        preds = fold(q, forward_batch(q, probe_batch(q.graph, q.dims))[1]).forecast(examples)
         return weighted_mse_loss(dict(zip(basin_ids, preds.T)), examples.labels, w)
 
     return _fit(p, len(examples), cfg, batch_loss, full_loss)
 
 
 def train_flat(p: FlatLinearParams, examples: ExampleSet, cfg: TrainConfig) -> TrainResult:
-    """The same loop for the flat baseline (loss at the target basin only)."""
+    """The same loop for the flat baseline: mean squared error at the
+    target basin only, through the flat model's filter."""
     labels = examples.labels[p.target]
-    cols = examples.columns(p.included, p.dims.window, p.dims.channels)
+    cols, order = examples.columns(p.included, p.dims.window, p.dims.channels), lag_order(p)
 
     def batch_loss(q: FlatLinearParams, idx: np.ndarray) -> tuple[float, FlatLinearParams]:
-        return backward_flat(q, examples.windows(idx, cols), labels[idx])
+        x, f = examples.windows(idx, cols), flat_filters(q)
+        err = f.apply(x)[:, 0] - labels[idx]
+        g_f, g_bias = f.gradient(x, 2.0 * err[:, None] / len(idx))
+        g_weights = np.empty_like(q.weights)
+        g_weights[order] = g_f[0]
+        return float(np.mean(err * err)), replace(q, weights=g_weights, bias=float(g_bias[0]))
 
     def full_loss(q: FlatLinearParams) -> float:
-        err = forward_flat_set(q, examples) - labels
+        err = flat_filters(q).forecast(examples)[:, 0] - labels
         return float(np.mean(err * err))
 
     return _fit(p, len(examples), cfg, batch_loss, full_loss)

@@ -109,3 +109,11 @@ def reference_forward_batch(p, features):
         embeddings[bid] = e
         preds[bid] = e.reshape(batch, t * k) @ p.block("head_w", bid) + p.block("head_b", bid)
     return combined, embeddings, preds
+
+
+def reference_flat_forecast(p, features):
+    """The flat model read basin by basin: the concatenated per-basin
+    windows of ``p.included`` times its basin-major weights, plus its
+    bias. The oracle for its lag-major filter."""
+    x = np.concatenate([features[bid].reshape(len(features[bid]), -1) for bid in p.included], axis=1)
+    return x @ p.weights + p.bias

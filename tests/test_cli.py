@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -229,11 +230,45 @@ class TestTrainEvaluate:
             ["exp-basins", "--config", good, "--basins", "b0", "b0"],
             ["exp-scarcity", "--config", good, "--sizes", "30", "30"],
         ]
+        # A runner rejects the fields it never reads.
+        argvs += [
+            [command, "--config", write_exp_config(tmp_path / f"unread{i}.json", tmp_path / "run", **edit)]
+            for i, (command, edit) in enumerate([
+                ("exp-depth", {"basins": ["nope"]}),
+                ("exp-depth", {"sizes": [5]}),
+                ("exp-basins", {"sizes": [5]}),
+            ])
+        ]
         for argv in argvs:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert "invalid-config" in err and "Traceback" not in err, (argv, err)
 
+
+    @pytest.mark.parametrize("level", [
+        lambda t, lv: lv * 1e200,                          # the std overflows
+        lambda t, lv: 1.6e308 - 1e306 * (t % 7),           # so does the mean
+    ], ids=["times-1e200", "near-max"])
+    def test_finite_levels_whose_stats_overflow_exit_two(self, tmp_path, capsys, fork_graph, level):
+        # Every reading is finite, so the series loads; normalization names
+        # the basin and the channel. train and evaluate once exited 0 and
+        # printed nan on the first, and both reported empty-train on the
+        # second.
+        def readings(bid, t):
+            lv = math.sin(0.1 * t) + 0.01 * t
+            return (t % 5) * 0.5, level(t, lv) if bid == "b3" else lv
+
+        region, series = tmp_path / "region.json", tmp_path / "series.csv"
+        region.write_text(dump_region(fork_graph))
+        series.write_text(make_series_text(fork_graph, 60, value_fn=readings))
+        cfg_path = write_exp_config(
+            tmp_path / "exp.json", tmp_path / "run", synth=None, region=str(region), series=str(series)
+        )
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(save_checkpoint(init_hydronet(fork_graph, Dims(window=4, embedding=2, horizon=1), 0)))
+        for argv in (["train"], ["evaluate", "--checkpoint", str(ckpt)]):
+            assert main([*argv, "--config", cfg_path]) == 2, argv
+            assert capsys.readouterr().err.startswith("non-finite: basin 'b3' channel level overflows"), argv
 
     def test_undecodable_inputs_exit_two(self, tmp_path, capsys, fork_graph):
         undecodable = tmp_path / "latin1.txt"

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import asdict
@@ -441,6 +442,18 @@ class TestNormStats:
             return 1.0, float(t)
         store = load_series(make_series_text(chain2, 5, value_fn=vals), chain2)
         with pytest.raises(HydroNetsError, match="constant-channel"):
+            fit_norm_stats(store, (0, 5))
+
+    @pytest.mark.parametrize("level, message", [
+        (lambda t: 1e200 * t, "b1' channel level overflows: mean 2e+200, std inf"),
+        (lambda t: 1.6e308 - 1e306 * t, "b1' channel level overflows: mean inf"),
+        (lambda t: 1e-200 * t, "b1' channel level varies, but its std underflows to 0"),
+    ], ids=["std-overflows", "mean-overflows", "std-underflows"])
+    def test_finite_readings_whose_stats_are_not(self, chain2, level, message):
+        # Every reading is finite, so load_series takes them; each fails
+        # here, where the stats are computed, and no RuntimeWarning escapes.
+        store = load_series(make_series_text(chain2, 5, value_fn=lambda bid, t: (float(t), level(t))), chain2)
+        with pytest.raises(HydroNetsError, match="^" + re.escape(f"non-finite: basin '{message}")):
             fit_norm_stats(store, (0, 5))
 
     def test_empty_range_rejected(self, chain2):

@@ -14,9 +14,9 @@ from hydronets.model import (
     Dims,
     FlatLinearParams,
     HydroNetParams,
-    flat_design_matrix,
+    as_batch,
+    flat_filters,
     forward_batch,
-    forward_flat_batch,
     forward_hydronet,
     graph_fingerprint,
     init_flat,
@@ -28,7 +28,7 @@ from hydronets.model import (
 )
 from hydronets.region import Basin, RegionGraph, prune_to_depth
 
-from conftest import random_trees, reference_forward_batch, tree_from_parents
+from conftest import random_trees, reference_flat_forecast, reference_forward_batch, tree_from_parents
 
 
 def hand_params(chain2):
@@ -60,6 +60,11 @@ def example_for(g, dims, rng=None, fill=None):
 def batch_of(ex):
     """``ex``'s features as a batch of one example."""
     return {b: x[None] for b, x in ex.features.items()}
+
+
+def flat_forecast(p, features):
+    """The flat filter's forecasts at ``p.target`` for a per-basin batch."""
+    return flat_filters(p).apply(as_batch(p.included, p.dims, features))[:, 0]
 
 
 def chains(max_basins=9):
@@ -224,7 +229,7 @@ class TestFlat:
         p = init_flat(fork_graph, "b4", 2, dims, 0)
         p = p.unpack(np.concatenate([np.zeros_like(p.weights), [3.5]]))
         ex = example_for(fork_graph, dims, rng=np.random.default_rng(0))
-        assert forward_flat_batch(p, batch_of(ex)) == pytest.approx([3.5])
+        assert flat_forecast(p, batch_of(ex)) == pytest.approx([3.5])
 
     def test_single_basin_dot_product(self):
         g = tree_from_parents([])
@@ -234,7 +239,7 @@ class TestFlat:
             weights=np.array([1.0, -1.0]), bias=0.0,
         )
         features = {"b0": np.array([[[2.0, 5.0]]])}
-        assert forward_flat_batch(p, features) == pytest.approx([-3.0])
+        assert flat_forecast(p, features) == pytest.approx([-3.0])
 
     def test_linearity(self, fork_graph):
         dims = Dims(window=3, embedding=1, horizon=1)
@@ -242,7 +247,7 @@ class TestFlat:
         rng = np.random.default_rng(6)
         features = batch_of(example_for(fork_graph, dims, rng=rng))
         doubled = {b: 2.0 * x for b, x in features.items()}
-        assert forward_flat_batch(p, doubled) == pytest.approx(2.0 * forward_flat_batch(p, features), rel=1e-12)
+        assert flat_forecast(p, doubled) == pytest.approx(2.0 * flat_forecast(p, features), rel=1e-12)
 
     def test_included_is_pruned_subtree(self, fork_graph):
         p = init_flat(fork_graph, "b4", 2, Dims(window=2, embedding=1, horizon=1), 0)
@@ -250,14 +255,17 @@ class TestFlat:
         p3 = init_flat(fork_graph, "b4", 3, Dims(window=2, embedding=1, horizon=1), 0)
         assert set(p3.included) == {"b1", "b2", "b3", "b4"}
 
-    def test_design_matrix_order(self, fork_graph):
-        dims = Dims(window=1, embedding=1, horizon=1)
+    def test_filter_reads_included_basins_in_topological_order(self, fork_graph):
+        # The weights run basin by basin in the order of ``included``, as
+        # the checkpoint stores them; the filter reads each basin's block.
+        dims = Dims(window=2, embedding=1, horizon=1)
         p = init_flat(fork_graph, "b4", 3, dims, 0)
-        feats = {b: np.full((1, 1, 2), i, dtype=float) for i, b in enumerate(p.included)}
-        design = flat_design_matrix(p, feats)
-        assert design.shape == (1, len(p.included) * 2)
-        # concatenation follows topological order of the included basins
-        assert list(design[0, ::2]) == list(range(len(p.included)))
+        p = p.unpack(np.append(np.arange(len(p.weights), dtype=float), 0.0))
+        block = dims.window * dims.channels
+        for j, bid in enumerate(p.included):
+            feats = {b: np.full((1, 2, 2), float(b == bid)) for b in p.included}
+            assert flat_forecast(p, feats) == [p.weights[j * block : (j + 1) * block].sum()]
+            assert flat_forecast(p, feats) == reference_flat_forecast(p, feats)
 
 
 class TestParamCount:

@@ -13,9 +13,9 @@ from hydronets.model import (
     Dims,
     FlatLinearParams,
     as_batch,
+    flat_filters,
     fold,
     forward_batch,
-    forward_flat_batch,
     init_flat,
     init_hydronet,
     param_count,
@@ -24,7 +24,6 @@ from hydronets.model import (
 from hydronets.training import (
     LossWeights,
     TrainConfig,
-    backward_flat,
     backward_hydronet,
     finite_difference_grad,
     train,
@@ -32,7 +31,7 @@ from hydronets.training import (
     weighted_mse_loss,
 )
 
-from conftest import random_trees, reference_forward_batch, tree_from_parents
+from conftest import random_trees, reference_flat_forecast, reference_forward_batch, tree_from_parents
 
 
 def rel_err(a, b):
@@ -41,6 +40,23 @@ def rel_err(a, b):
 
 def filters(p):
     return fold(p, forward_batch(p, probe_batch(p.graph, p.dims))[1])
+
+
+def grid_set(g, dims, rng, steps):
+    """An example set over a random grid of ``g``'s basins: one example
+    per complete window, each with random labels."""
+    anchors = np.arange(dims.window - 1, steps)
+    return ExampleSet(
+        graph=g, window=dims.window, horizon=1, d_x=dims.channels, anchors=anchors,
+        grid=rng.standard_normal((steps, len(g.basin_ids), dims.channels)),
+        labels={b: rng.standard_normal(len(anchors)) for b in g.basin_ids}, persist={},
+    )
+
+
+def set_windows(f, examples):
+    """The windows of every example of ``examples`` that ``f`` reads."""
+    cols = examples.columns(f.basin_ids, f.dims.window, f.dims.channels)
+    return examples.windows(np.arange(len(examples)), cols)
 
 
 def random_batch(g, dims, rng, batch=4):
@@ -249,19 +265,49 @@ class TestFold:
 
 class TestBackwardFlat:
     def test_matches_finite_differences(self, fork_graph):
+        # One SGD step at learning rate 1 over the whole set moves the
+        # parameters by minus the flat model's batch gradient.
         dims = Dims(window=3, embedding=1, horizon=1)
         p = init_flat(fork_graph, "b4", 2, dims, 4)
-        rng = np.random.default_rng(4)
-        feats = {b: rng.standard_normal((5, 3, 2)) for b in p.included}
-        labels = rng.standard_normal(5)
-        _, grad = backward_flat(p, feats, labels)
+        examples = grid_set(fork_graph, dims, np.random.default_rng(4), 7)
+        x = set_windows(flat_filters(p), examples)
+        feats = {bid: x[:, :, j] for j, bid in enumerate(p.included)}
+        cfg = TrainConfig(learning_rate=1.0, epochs=1, batch_size=len(x), optimizer="sgd")
+        grad = p.pack() - train_flat(p, examples, cfg).params.pack()
 
         def loss_fn(q):
-            err = forward_flat_batch(q, feats) - labels
+            err = reference_flat_forecast(q, feats) - examples.labels["b4"]
             return float(np.mean(err * err))
 
         fd = finite_difference_grad(loss_fn, p)
-        assert rel_err(grad.pack(), fd).max() < 1e-5
+        assert rel_err(grad, fd).max() < 1e-5
+
+
+class TestFilters:
+    @settings(max_examples=100, deadline=None)
+    @given(random_trees(), st.data())
+    def test_forecasts_match_references(self, g, data):
+        # The flat filter on a batch against the flat model read basin by
+        # basin, and for both kinds the set forecast against the batch one.
+        target = data.draw(st.sampled_from(g.basin_ids))
+        depth, window = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        channels = data.draw(st.integers(1, 3))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        dims = Dims(window=window, embedding=2, horizon=1, channels=channels)
+        rng = np.random.default_rng(seed)
+        examples = grid_set(g, dims, rng, window + data.draw(st.integers(0, 12)))
+        flat = init_flat(g, target, depth, dims, seed)
+        flat.bias = float(rng.standard_normal())
+        tree = init_hydronet(g, dims, seed)
+        tree = tree.unpack(tree.pack() + 0.5 * rng.standard_normal(param_count(tree)))
+
+        f = flat_filters(flat)
+        x = set_windows(f, examples)
+        ref = reference_flat_forecast(flat, {bid: x[:, :, j] for j, bid in enumerate(flat.included)})
+        assert f.targets == (target,)
+        assert rel_err(f.apply(x)[:, 0], ref).max() < 1e-12
+        for f in (f, filters(tree)):
+            assert rel_err(f.forecast(examples), f.apply(set_windows(f, examples))).max() < 1e-12
 
 
 class TestFiniteDifference:
