@@ -20,6 +20,7 @@ from .data import SynthConfig, dump_series, generate_synthetic, load_series, pre
 from .errors import HydroNetsError
 from .experiments import (
     ExperimentConfig,
+    _reject_unread,
     load_inputs,
     run_all_basins,
     run_depth_experiment,
@@ -85,6 +86,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    _reject_unread(cfg, "train", "basins", "sizes")
     g, store, _ = load_inputs(cfg)
     train_set, _, _ = prepare_datasets(
         store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac
@@ -117,6 +119,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    _reject_unread(cfg, "evaluate", "basins", "sizes")
     # The checkpoint, and its dims against the config's, are checked before
     # the series, the largest input, is read, so a bad checkpoint fails fast.
     if cfg.synth is not None:

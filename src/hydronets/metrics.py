@@ -17,13 +17,14 @@ one, applied one lag at a time to the example set's grid.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ExampleSet, NormStats
 from .errors import HydroNetsError
-from .model import FlatLinearParams, HydroNetParams, flat_filters, fold, forward_batch, probe_batch
+from .model import FlatLinearParams, HydroNetParams, flat_filters, fold, forward_batch
 
 
 def mse(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -38,21 +39,29 @@ def mse(preds: np.ndarray, labels: np.ndarray) -> float:
 
 
 def r2_nse(preds: np.ndarray, labels: np.ndarray) -> float:
-    """1 - MSE(model) / MSE(constant mean predictor)."""
+    """1 - MSE(model) / MSE(constant mean predictor), or nan (:func:`_skill`)."""
     model = mse(preds, labels)
     labels = np.asarray(labels, dtype=float)
     baseline = float(np.mean((labels - labels.mean()) ** 2))
-    if baseline == 0.0:
+    if baseline == 0.0 and labels.min() == labels.max():
         raise HydroNetsError("constant-labels", "labels are constant, mean baseline has zero error")
-    return 1.0 - model / baseline
+    return _skill(model, baseline)
+
 
 def r2_persist(preds: np.ndarray, labels: np.ndarray, persist: np.ndarray) -> float:
-    """1 - MSE(model) / MSE(persistence forecast)."""
+    """1 - MSE(model) / MSE(persistence forecast), or nan (:func:`_skill`)."""
     model = mse(preds, labels)
     baseline = mse(persist, labels)
-    if baseline == 0.0:
+    if baseline == 0.0 and np.array_equal(persist, labels):
         raise HydroNetsError("zero-persist-error", "persistence forecast is exact, score undefined")
-    return 1.0 - model / baseline
+    return _skill(model, baseline)
+
+
+def _skill(model: float, baseline: float) -> float:
+    """nan when the reference error ``baseline`` leaves the normal float
+    range: overflowed, it would read as a perfect score whatever the
+    model; underflowed, as a score with few or no correct digits."""
+    return 1.0 - model / baseline if np.finfo(float).smallest_normal <= baseline < math.inf else math.nan
 
 
 @dataclass(frozen=True)
@@ -87,18 +96,19 @@ def _score_basin(
     norm: NormStats | None,
 ) -> BasinScore:
     # Scores are reported in label units: undo normalization on every
-    # series that entered it, including the persistence reference.
-    if norm is not None:
-        preds = norm.denorm_level(bid, preds)
-        labels = norm.denorm_level(bid, labels)
-        persist = norm.denorm_level(bid, persist)
-    return BasinScore(
-        basin_id=bid,
-        n_examples=len(labels),
-        mse=mse(preds, labels),
-        r2=r2_nse(preds, labels),
-        r2_persist=r2_persist(preds, labels, persist),
-    )
+    # series that entered it, including the persistence reference. Finite
+    # values can overflow there, and squared errors can overflow or
+    # underflow, which leaves a score that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norm is not None:
+            preds, labels, persist = (norm.denorm_level(bid, x) for x in (preds, labels, persist))
+        score = BasinScore(bid, len(labels), mse(preds, labels), r2_nse(preds, labels),
+                           r2_persist(preds, labels, persist))
+    for name in ("mse", "r2", "r2_persist"):
+        if not math.isfinite(getattr(score, name)):
+            raise HydroNetsError("non-finite", f"basin {bid!r} {name} is {getattr(score, name)}: "
+                                 "its errors in label units leave the float range")
+    return score
 
 
 def evaluate(
@@ -114,14 +124,15 @@ def evaluate(
     filters are applied one lag at a time to the set's grid, so no window
     array is built. Passing the normalization stats converts predictions,
     labels, and the persistence reference back to raw units before
-    scoring.
+    scoring; a score that is not finite there fails with ``non-finite``,
+    naming the basin and the score.
     """
     if len(examples) == 0:
         raise HydroNetsError("empty-metric-input", "cannot evaluate on zero examples")
     if isinstance(p, FlatLinearParams):
         f = flat_filters(p)
     else:
-        f = fold(p, forward_batch(p, probe_batch(p.graph, p.dims))[1])
+        f = fold(p, forward_batch(p, p.plan.probe)[1])
     preds = f.forecast(examples)
     scores = tuple(
         _score_basin(bid, preds[:, i], examples.labels[bid], examples.persist[bid], norm)

@@ -9,8 +9,9 @@ Region sources have no combiner: their combined input is zero, which keeps
 the shared model's input width uniform.
 
 The tree model's weights live in one vector (:class:`HydroNetParams`)
-whose views the level sweep reads in place; one cached plan per (graph,
-dims) fixes both the levels and where each weight sits in the vector.
+whose views the level sweep reads in place. A plan, built once per model
+and kept on its parameters, fixes both the levels and where each weight
+sits in the vector; every parameter set unpacked from them shares it.
 
 :func:`forward_batch` evaluates that structure at every step of every
 window, one tree level at a time (a source is level 0, any other basin
@@ -25,7 +26,7 @@ kinds forecast through :class:`Filters`: a batch's forecasts, and their
 gradient with respect to the filter, are one matmul each, and a whole
 example set's forecasts one matmul per lag straight from its grid.
 :func:`fold` reads the tree's filters off :func:`forward_batch` on the
-unit-impulse :func:`probe_batch`; single examples and the tests run
+plan's unit-impulse probe batch; single examples and the tests run
 :func:`forward_batch` itself.
 
 A batch of features is either a mapping from basin to (B, T, d_x) windows
@@ -35,7 +36,6 @@ or one (B, T, n, d_x) array over the model's basins, as
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -105,9 +105,11 @@ class HydroNetParams:
       ``basin_ids`` order, each head flattening the (T, K) embedding
       row-major.
 
-    :meth:`block` is the view of one :func:`layout` block. The fields
-    cannot be rebound, since a new array would not be part of the vector:
-    write through ``[...]`` instead.
+    :meth:`block` is the view of one :func:`layout` block. ``plan`` is
+    the graph's :class:`_Plan` at ``dims``, built when the parameters are
+    made and shared by all that :meth:`unpack` wraps. The fields cannot be
+    rebound, since a new array would not be part of the vector: write
+    through ``[...]`` instead.
     """
 
     def __init__(self, graph: RegionGraph, dims: Dims, shared_w, shared_b, combiner_w: Mapping,
@@ -116,7 +118,7 @@ class HydroNetParams:
         arguments map basin id to block; every block must have its
         :func:`layout` shape, or ``shape-mismatch`` is raised."""
         plan = _plan(graph, dims)
-        self.__dict__.update(vars(self._wrap(graph, dims, np.zeros(plan.size))))
+        self.__dict__.update(vars(self._wrap(graph, dims, plan, np.zeros(plan.size))))
         given = {"shared_w": shared_w, "shared_b": shared_b, "combiner_w": combiner_w,
                  "combiner_b": combiner_b, "head_w": head_w, "head_b": head_b}
         blocks = layout(graph, dims)
@@ -129,11 +131,11 @@ class HydroNetParams:
             raise HydroNetsError("shape-mismatch", "combiner or head blocks for basins the layout lacks")
 
     @classmethod
-    def _wrap(cls, graph: RegionGraph, dims: Dims, vector: np.ndarray) -> "HydroNetParams":
-        """Parameters viewing ``vector``, which must have the layout's size."""
+    def _wrap(cls, graph: RegionGraph, dims: Dims, plan: "_Plan", vector: np.ndarray) -> "HydroNetParams":
+        """Parameters viewing ``vector``, which must have ``plan``'s size."""
         p = object.__new__(cls)
-        views = {name: vector[s].reshape(shape) for name, s, shape in _plan(graph, dims).fields}
-        p.__dict__.update(graph=graph, dims=dims, vector=vector, **views)
+        views = {name: vector[s].reshape(shape) for name, s, shape in plan.fields}
+        p.__dict__.update(graph=graph, dims=dims, plan=plan, vector=vector, **views)
         return p
 
     def __setattr__(self, name: str, value) -> None:
@@ -143,7 +145,7 @@ class HydroNetParams:
 
     def block(self, field: str, basin: str | None) -> np.ndarray:
         """View of one :func:`layout` block (a head bias is 0-d)."""
-        return getattr(self, field)[_plan(self.graph, self.dims).place[field, basin]]
+        return getattr(self, field)[self.plan.place[field, basin]]
 
     def pack(self) -> np.ndarray:
         """The parameter vector itself, not a copy."""
@@ -152,10 +154,10 @@ class HydroNetParams:
     def unpack(self, vector: np.ndarray) -> "HydroNetParams":
         """Parameters held in ``vector``, laid out like :meth:`pack`'s;
         wraps it without copying."""
-        size = _plan(self.graph, self.dims).size
+        size = self.plan.size
         if vector.shape != (size,):
             raise HydroNetsError("shape-mismatch", f"vector has shape {vector.shape}, expected ({size},)")
-        return self._wrap(self.graph, self.dims, vector)
+        return self._wrap(self.graph, self.dims, self.plan, vector)
 
 
 @dataclass
@@ -195,7 +197,8 @@ class ForwardTrace:
 def init_hydronet(g: RegionGraph, dims: Dims, seed: int) -> HydroNetParams:
     """Gaussian(0, 1/fan_in) weights, zero biases, deterministic per seed.
     Weight blocks draw from one generator in :func:`layout` order."""
-    p = HydroNetParams._wrap(g, dims, np.zeros(_plan(g, dims).size))
+    plan = _plan(g, dims)
+    p = HydroNetParams._wrap(g, dims, plan, np.zeros(plan.size))
     rng = np.random.default_rng(seed)
     for field, bid, shape in layout(g, dims):
         if field.endswith("_w"):
@@ -257,7 +260,7 @@ def forward_batch(
     ids = p.graph.basin_ids
     batch = check_features(ids, p.dims, features)
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
-    plan = _plan(p.graph, p.dims)
+    plan = p.plan
     # One row per step of every window. Embeddings start as the shared
     # map of the features alone; row n is the zero padding source.
     rows = batch * t
@@ -300,7 +303,15 @@ class _Plan:
     field's ``(name, slice, shape)`` in the vector, the vector's size,
     each :func:`layout` block's index into its field, the levels from the
     sources down, ``(basin, index)`` in topological order, the subtree
-    mask (:class:`TreeFilters`) and :func:`probe_batch`."""
+    mask (:class:`TreeFilters`) and the probe.
+
+    ``probe`` is the unit-impulse input :func:`fold` reads the filters
+    off, shaped like a batch of ``ceil((1 + n * d_x) / T)`` examples for
+    the ``n`` basins. The shared map and the combiners act on each step
+    alone, so every (example, step) slot ``s = example * T + step`` is
+    its own probe. Slot 0 is all zeros; slot ``1 + m * d_x + c`` holds a
+    1 in channel ``c`` of the ``m``-th basin of ``basin_ids``; later
+    slots are zero padding."""
 
     fields: tuple[tuple[str, slice, tuple[int, ...]], ...]
     size: int
@@ -311,13 +322,13 @@ class _Plan:
     probe: Mapping[str, np.ndarray]
 
 
-@functools.lru_cache(maxsize=64)
 def _plan(g: RegionGraph, dims: Dims) -> _Plan:
     """The plan of ``g`` at ``dims``, for :class:`HydroNetParams`,
     :func:`forward_batch`, :func:`fold` and the reverse sweep in
-    :func:`~hydronets.training.backward_hydronet`. Cached, as every
-    training step reads it; its arrays are shared and must not be written
-    (the probe and the mask are read-only)."""
+    :func:`~hydronets.training.backward_hydronet`. Built once per model,
+    by :func:`init_hydronet` or :class:`HydroNetParams`, and kept as its
+    ``plan``; its arrays are shared and must not be written (the probe
+    and the mask are read-only)."""
     dims.check()
     ids = g.basin_ids
     n, t, k, d_x = len(ids), dims.window, dims.embedding, dims.channels
@@ -373,20 +384,6 @@ def _plan(g: RegionGraph, dims: Dims) -> _Plan:
     )
 
 
-def probe_batch(g: RegionGraph, dims: Dims) -> Mapping[str, np.ndarray]:
-    """Unit-impulse input for :func:`fold`, shaped like a batch of
-    ``ceil((1 + n * d_x) / T)`` examples for the ``n`` basins of ``g``.
-
-    The shared map and the combiners act on each step alone, so every
-    (example, step) slot ``s = example * T + step`` is its own probe. Slot
-    0 is all zeros; slot ``1 + m * d_x + c`` holds a 1 in channel ``c`` of
-    the ``m``-th basin of ``g.basin_ids``; later slots are zero padding.
-    Cached per (graph, dims), as every training step folds: the mapping
-    and its arrays are read-only.
-    """
-    return _plan(g, dims).probe
-
-
 @dataclass(frozen=True)
 class Filters:
     """Affine filters forecasting ``targets`` from the windows of the k
@@ -434,12 +431,12 @@ class TreeFilters(Filters):
 
 def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> TreeFilters:
     """Per-basin filters from the embeddings :func:`forward_batch` gives
-    on :func:`probe_batch`. Exact, because every sub-model is affine."""
+    on ``p.plan.probe``. Exact, because every sub-model is affine."""
     ids = p.graph.basin_ids
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
     e = np.concatenate([embeddings[bid] for bid in ids]).reshape(n, -1, k)  # (n, slots, K)
     zero = e[:, 0]
-    inside = _plan(p.graph, p.dims).inside
+    inside = p.plan.inside
     response = np.where(inside, e[:, 1 : 1 + n * d_x] - zero[:, None], 0.0)
     heads = p.head_w.reshape(n, t, k)
     # Written straight into the C-ordered weights the batch matmuls read

@@ -82,19 +82,6 @@ class RegionGraph:
     def __contains__(self, basin_id: str) -> bool:
         return basin_id in self.upstream
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash equal graphs share, computed once: the caches keyed by
-        a graph look it up on every training step."""
-        return hash((self.basins, self.edges))
-
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes, so a copy recomputes its own.
-        return {"basins": self.basins, "edges": self.edges}
-
 
 @dataclass(frozen=True)
 class ValidationReport:

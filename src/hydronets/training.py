@@ -36,13 +36,11 @@ from .errors import HydroNetsError
 from .model import (
     FlatLinearParams,
     HydroNetParams,
-    _plan,
     as_batch,
     flat_filters,
     fold,
     forward_batch,
     lag_order,
-    probe_batch,
 )
 
 
@@ -126,8 +124,7 @@ def backward_hydronet(
     x = as_batch(ids, p.dims, features)
     batch = len(x)
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
-    plan = _plan(p.graph, p.dims)
-    probe = plan.probe
+    probe = p.plan.probe
     combined, embeddings, _ = forward_batch(p, probe)
     f = fold(p, embeddings)
     preds = f.apply(x)                                                   # (B, n)
@@ -140,7 +137,7 @@ def backward_hydronet(
     # bias_i = sum_t H_i[t] . q_i + head_b_i.
     g_f, g_bias = f.gradient(x, g_pred)
     g_f = g_f.reshape(n, t, n * d_x)
-    grad = p.unpack(np.zeros(plan.size))
+    grad = p.unpack(np.zeros_like(p.vector))
     grad.head_w[...] = (g_f @ f.response + g_bias[:, None, None] * f.zero[:, None, :]).reshape(n, t * k)
     grad.head_b[...] = g_bias
     g_response = np.where(f.inside, g_f.transpose(0, 2, 1) @ f.heads, 0.0)
@@ -159,7 +156,7 @@ def backward_hydronet(
     w_c = p.combiner_w.reshape(k, -1, k).transpose(1, 0, 2)
     g_wc = grad.combiner_w.reshape(k, -1, k).transpose(1, 0, 2)
     w_sc = p.shared_w[:, d_x:]
-    for lv in reversed(plan.levels):
+    for lv in reversed(p.plan.levels):
         g_c = g_e[lv.basins] @ w_sc                                      # (basins, slots, K)
         grad.combiner_b[lv.combiners] = g_c.sum(axis=1)
         sources, edges = lv.sources[lv.inputs], lv.edges[lv.inputs]
@@ -273,7 +270,7 @@ def train(
         return backward_hydronet(q, examples.windows(idx, cols), labels, w)
 
     def full_loss(q: HydroNetParams) -> float:
-        preds = fold(q, forward_batch(q, probe_batch(q.graph, q.dims))[1]).forecast(examples)
+        preds = fold(q, forward_batch(q, q.plan.probe)[1]).forecast(examples)
         return weighted_mse_loss(dict(zip(basin_ids, preds.T)), examples.labels, w)
 
     return _fit(p, len(examples), cfg, batch_loss, full_loss)

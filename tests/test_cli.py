@@ -5,12 +5,13 @@ import copy
 import io
 import json
 import math
+import shutil
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hydronets.cli
@@ -23,7 +24,7 @@ from hydronets.model import init_flat, init_hydronet, load_checkpoint, save_chec
 from hydronets.presets import chain_fixture, tree_fixture
 from hydronets.region import RegionGraph, drain_of, dump_region, parse_region
 
-from conftest import make_series_text, run_python
+from conftest import make_series_text, run_python, tree_from_parents
 
 
 def write_exp_config(path, out_dir, **overrides):
@@ -230,13 +231,18 @@ class TestTrainEvaluate:
             ["exp-basins", "--config", good, "--basins", "b0", "b0"],
             ["exp-scarcity", "--config", good, "--sizes", "30", "30"],
         ]
-        # A runner rejects the fields it never reads.
+        # A command rejects the fields it never reads, before reading any input.
+        no_checkpoint = ["--checkpoint", str(tmp_path / "missing.json")]
         argvs += [
-            [command, "--config", write_exp_config(tmp_path / f"unread{i}.json", tmp_path / "run", **edit)]
-            for i, (command, edit) in enumerate([
-                ("exp-depth", {"basins": ["nope"]}),
-                ("exp-depth", {"sizes": [5]}),
-                ("exp-basins", {"sizes": [5]}),
+            [command, "--config", write_exp_config(tmp_path / f"unread{i}.json", tmp_path / "run", **edit), *extra]
+            for i, (command, edit, extra) in enumerate([
+                ("exp-depth", {"basins": ["nope"]}, []),
+                ("exp-depth", {"sizes": [5]}, []),
+                ("exp-basins", {"sizes": [5]}, []),
+                ("train", {"basins": ["nope"]}, []),
+                ("train", {"sizes": [5]}, []),
+                ("evaluate", {"basins": ["nope"]}, no_checkpoint),
+                ("evaluate", {"sizes": [5]}, no_checkpoint),
             ])
         ]
         for argv in argvs:
@@ -269,6 +275,29 @@ class TestTrainEvaluate:
         for argv in (["train"], ["evaluate", "--checkpoint", str(ckpt)]):
             assert main([*argv, "--config", cfg_path]) == 2, argv
             assert capsys.readouterr().err.startswith("non-finite: basin 'b3' channel level overflows"), argv
+
+    def test_scores_that_overflow_in_label_units_exit_two(self, tmp_path, capsys, fork_graph):
+        # Levels near 1e150 normalize cleanly, but a checkpoint whose
+        # forecasts are far off puts b3's squared errors, in label units,
+        # past the float range. evaluate once wrote inf into metrics.csv.
+        def readings(bid, t):
+            lv = math.sin(0.1 * t) + 0.01 * t
+            return (t % 5) * 0.5, lv * 1e150 if bid == "b3" else lv
+
+        region, series = tmp_path / "region.json", tmp_path / "series.csv"
+        region.write_text(dump_region(fork_graph))
+        series.write_text(make_series_text(fork_graph, 60, value_fn=readings))
+        cfg_path = write_exp_config(
+            tmp_path / "exp.json", tmp_path / "run", synth=None, region=str(region), series=str(series)
+        )
+        p = init_flat(fork_graph, "b3", 1, Dims(window=4, embedding=2, horizon=1), 0)
+        p.weights[...] = 1e10
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(save_checkpoint(p))
+        argv = ["evaluate", "--config", cfg_path, "--checkpoint", str(ckpt), "--out", str(tmp_path / "scores")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("non-finite: basin 'b3' mse is inf")
+        assert not (tmp_path / "scores").exists()
 
     def test_undecodable_inputs_exit_two(self, tmp_path, capsys, fork_graph):
         undecodable = tmp_path / "latin1.txt"
@@ -617,6 +646,62 @@ class TestRegionFuzz:
             return
         written = dump_region(g)
         assert dump_region(parse_region(written)) == written
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+class TestScaledReadings:
+    """Every command on a series with one basin's channel scaled by 10^k
+    exits 0 with every metric it writes finite, or exits 2 with an error
+    code the README documents."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("scaled")
+
+    @settings(max_examples=25, deadline=None)
+    @given(basin=st.sampled_from(["b0", "b1", "b2"]), channel=st.sampled_from([0, 1]), k=st.integers(-300, 300))
+    @example(basin="b0", channel=1, k=-161)      # level changes square to 0
+    @example(basin="b1", channel=0, k=153)       # the largest precip scale the stats accept
+    @example(basin="b2", channel=1, k=154)       # level deviations square past the float range
+    def test_finite_metrics_or_a_documented_code(self, root, basin, channel, k):
+        g = tree_from_parents([0, 0])
+
+        def readings(bid, t):
+            m = g.basin_ids.index(bid)
+            values = [(t % 5) * 0.5 + 1.0, math.sin(0.1 * t + m) + 0.01 * t]
+            if bid == basin:
+                values[channel] *= 10.0 ** k
+            return values
+
+        (root / "region.json").write_text(dump_region(g))
+        (root / "series.csv").write_text(make_series_text(g, 60, value_fn=readings))
+        cfg_path = write_exp_config(
+            root / "exp.json", root / "unused", synth=None, train={"epochs": 1, "batch_size": 16},
+            region=str(root / "region.json"), series=str(root / "series.csv"),
+        )
+        init = root / "init.json"
+        init.write_text(save_checkpoint(init_hydronet(g, Dims(window=4, embedding=2, horizon=1), 0)))
+        for command in ("train", "evaluate", "exp-depth"):
+            out = root / command
+            shutil.rmtree(out, ignore_errors=True)
+            argv = [command, "--config", cfg_path, "--out", str(out)]
+            if command == "evaluate":
+                trained = root / "train" / "checkpoint.json"
+                argv += ["--checkpoint", str(trained if trained.exists() else init)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            if code == 0:
+                for path in out.glob("*.csv"):
+                    for field in path.read_text().replace("\n", ",").split(","):
+                        with contextlib.suppress(ValueError):
+                            assert math.isfinite(float(field)), (command, path.name, field)
+            else:
+                assert code == 2 and "Traceback" not in err, (command, err)
+                assert f"`{err.split(':')[0]}`" in README, (command, err)
 
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))

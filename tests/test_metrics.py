@@ -228,6 +228,27 @@ class TestEvaluate:
         assert denormed.r2 == pytest.approx(raw.r2, rel=1e-9)
         assert denormed.r2_persist == pytest.approx(raw.r2_persist, rel=1e-9)
 
+    def test_scores_that_leave_the_float_range_in_label_units(self):
+        # Finite forecasts and stats whose label-unit errors leave the float
+        # range: the squared error overflows; the mean baseline overflows,
+        # which read a perfect model's r2 as 1; the persistence error falls
+        # below the normal range, where it keeps few correct digits.
+        g, examples = single_basin_examples()
+        dims = Dims(window=1, embedding=1, horizon=1)
+        exact = ExampleSet(
+            graph=g, window=1, horizon=1, d_x=2, anchors=examples.anchors, grid=examples.grid,
+            labels={"b0": examples.grid[:, 0, 1]}, persist={"b0": examples.grid[:, 0, 1] - 0.5},
+        )
+        for weight, level_std, data, want in [
+            (1e10, 1e300, examples, "mse is inf"),
+            (1.0, 1e160, exact, "r2 is nan"),
+            (1.0, 2e-154, examples, "r2_persist is nan"),
+        ]:
+            p = FlatLinearParams(target="b0", included=("b0",), dims=dims, weights=np.array([0.0, weight]), bias=0.0)
+            stats = NormStats(mean={"b0": np.zeros(2)}, std={"b0": np.array([1.0, level_std])}, interval=(0, 6))
+            with pytest.raises(HydroNetsError, match=f"non-finite: basin 'b0' {want}"):
+                evaluate(p, data, stats)
+
     def test_csv_shape(self):
         g, examples = single_basin_examples()
         p = FlatLinearParams(

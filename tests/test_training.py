@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hydronets.model
 from hydronets.data import ExampleSet, generate_synthetic, prepare_datasets, SynthConfig
 from hydronets.errors import HydroNetsError
+from hydronets.metrics import evaluate
 from hydronets.region import drain_of
 from hydronets.model import (
     Dims,
@@ -19,7 +21,6 @@ from hydronets.model import (
     init_flat,
     init_hydronet,
     param_count,
-    probe_batch,
 )
 from hydronets.training import (
     LossWeights,
@@ -39,7 +40,7 @@ def rel_err(a, b):
 
 
 def filters(p):
-    return fold(p, forward_batch(p, probe_batch(p.graph, p.dims))[1])
+    return fold(p, forward_batch(p, p.plan.probe)[1])
 
 
 def grid_set(g, dims, rng, steps):
@@ -236,7 +237,7 @@ class TestFold:
     def test_probe_size(self, fork_graph):
         for window, channels in [(1, 1), (2, 2), (3, 2), (9, 1), (24, 2)]:
             dims = Dims(window=window, embedding=2, horizon=1, channels=channels)
-            probe = probe_batch(fork_graph, dims)
+            probe = init_hydronet(fork_graph, dims, 0).plan.probe
             n = len(fork_graph.basin_ids)
             for x in probe.values():
                 assert x.shape == (math.ceil((1 + n * channels) / window), window, channels)
@@ -405,6 +406,19 @@ class TestTrain:
         for bad in (-5.0, math.nan, math.inf):
             with pytest.raises(HydroNetsError, match="invalid-config"):
                 train(p, train_set, cfg, LossWeights({**uniform, g.basin_ids[0]: bad}))
+
+    def test_plan_is_built_once_per_model(self, monkeypatch):
+        g, store = generate_synthetic(SynthConfig(branching=2, height=2, n_steps=60, noise_std=0.1))
+        dims = Dims(window=3, embedding=2, horizon=1)
+        train_set, test_set, stats = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        p = init_hydronet(g, dims, 0)
+        built, plan_of = [], hydronets.model._plan
+        monkeypatch.setattr(hydronets.model, "_plan", lambda *args: built.append(args) or plan_of(*args))
+        result = train(p, train_set, TrainConfig(epochs=2, batch_size=8))
+        evaluate(result.params, test_set, stats)
+        assert built == []
+        assert result.params.plan is p.plan
+        assert p.unpack(p.pack().copy()).plan is p.plan
 
     def test_empty_train_set(self):
         g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
