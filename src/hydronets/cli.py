@@ -226,8 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     except HydroNetsError as e:
         print(e, file=sys.stderr)
         return 2
-    except OSError as e:
-        print(e, file=sys.stderr)
+    except OSError as e:  # input files fail with their kind's code, so this is an output
+        print(f"output-error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
         traceback.print_exc()

@@ -1,18 +1,21 @@
-"""JSON reader for the config dataclasses.
+"""The one reader of parsed JSON: configs, region files and checkpoints.
 
-:func:`from_doc` builds any config dataclass from a parsed JSON document by
+:func:`from_doc` builds a dataclass from a parsed JSON document by
 following the class's type annotations; ``dataclasses.asdict`` is the
-writer. A nested config dataclass is a JSON object, ``tuple[T, ...]`` and
-``tuple[T, T]`` are arrays (the second of fixed length), ``X | None``
-also takes ``null``, ``int`` takes a JSON integer but not a boolean,
-``float`` takes any finite JSON number and stores it as a float, and
-``str`` takes a string. Unknown fields, missing required fields and
-values of the wrong type raise ``invalid-config`` naming the field path.
+writer. A nested dataclass is a JSON object, ``dict[str, T]`` is an
+object whose values are ``T``, ``tuple[T, ...]`` and ``tuple[T, T]`` are
+arrays (the second of fixed length), ``X | None`` also takes ``null``,
+``int`` takes a JSON integer but not a boolean, ``float`` takes any finite
+JSON number and stores it as a float, and ``str`` takes a string. Every
+error message names the field path (``basins[2].id``, ``heads.b3.w``).
+Each file kind has a pair of codes (:data:`CONFIG`, :data:`REGION`,
+:data:`CHECKPOINT`): for a missing field or a value of the wrong type,
+and for an unknown field, which is reported first.
 
 :func:`read_input` and :func:`parse_json` are the one guard every input
-file passes through: one leading UTF-8 byte-order mark is dropped, and
-undecodable bytes and malformed JSON fail with the error code of the
-file's kind.
+file passes through: one leading UTF-8 byte-order mark is dropped, and a
+file that cannot be read, undecodable bytes and malformed JSON fail with
+the error code of the file's kind.
 """
 
 from __future__ import annotations
@@ -27,15 +30,21 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 from .errors import HydroNetsError
 
 _SCALARS = {int: "an integer", float: "a finite number", str: "a string"}
+CONFIG = ("invalid-config", "invalid-config")
+REGION = ("syntax-error", "unknown-field")
+CHECKPOINT = ("bad-checkpoint", "bad-checkpoint")
 
 
 def read_input(path: str | Path, code: str) -> str:
     """Text of input file ``path``, without the byte-order mark spreadsheet
-    tools may write first; bytes that are not UTF-8 raise ``code``."""
+    tools may write first; a file that cannot be read, or bytes that are
+    not UTF-8, raise ``code``."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise HydroNetsError(code, f"{path} is not UTF-8 text: {e}") from None
+    except OSError as e:
+        raise HydroNetsError(code, f"cannot read {path}: {e.strerror or e}") from None
 
 
 def parse_json(text: str, code: str) -> Any:
@@ -47,42 +56,48 @@ def parse_json(text: str, code: str) -> Any:
         raise HydroNetsError(code, f"invalid JSON: {e}") from None
 
 
-def from_doc(cls: type, doc: Any, path: str = "") -> Any:
-    """Build config dataclass ``cls`` from JSON value ``doc``; ``path``
-    names ``doc`` in error messages."""
+def from_doc(cls: type, doc: Any, path: str = "", codes: tuple[str, str] = CONFIG) -> Any:
+    """Build dataclass ``cls`` from JSON value ``doc``; ``path`` names
+    ``doc`` in error messages, and ``codes`` are its file kind's."""
     if not isinstance(doc, dict):
-        raise _wrong(path or cls.__name__, "an object", doc)
+        raise _wrong(path or cls.__name__, "an object", doc, codes)
     prefix = f"{path}." if path else ""
     hints = get_type_hints(cls)
-    problems = [f"unknown field {prefix}{name}" for name in sorted(set(doc) - set(hints))]
-    problems += [
+    unknown = [f"unknown field {prefix}{name}" for name in sorted(set(doc) - set(hints))]
+    missing = [
         f"missing field {prefix}{f.name}" for f in fields(cls)
         if f.name not in doc and f.default is MISSING and f.default_factory is MISSING
     ]
-    if problems:
-        raise HydroNetsError("invalid-config", "; ".join(problems))
-    return cls(**{name: _value(hints[name], v, prefix + name) for name, v in doc.items()})
+    if unknown or missing:
+        raise HydroNetsError(codes[1] if unknown else codes[0], "; ".join(unknown + missing))
+    return cls(**{name: _value(hints[name], v, prefix + name, codes) for name, v in doc.items()})
 
 
-def _value(tp: Any, v: Any, path: str) -> Any:
+def _value(tp: Any, v: Any, path: str, codes: tuple[str, str]) -> Any:
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
-        return from_doc(tp, v, path)
+        return from_doc(tp, v, path, codes)
     if origin in (Union, types.UnionType):  # X | None
         inner = next(a for a in args if a is not type(None))
-        return None if v is None else _value(inner, v, path)
+        return None if v is None else _value(inner, v, path, codes)
+    if origin is dict:  # dict[str, T]
+        if not isinstance(v, dict):
+            raise _wrong(path, "an object", v, codes)
+        return {key: _value(args[1], x, f"{path}.{key}", codes) for key, x in v.items()}
     if origin is tuple:
         variadic = args[-1] is Ellipsis
         if not isinstance(v, list) or not (variadic or len(v) == len(args)):
-            raise _wrong(path, "an array" if variadic else f"an array of {len(args)}", v)
-        return tuple(_value(args[0 if variadic else i], x, f"{path}[{i}]") for i, x in enumerate(v))
+            raise _wrong(path, "an array" if variadic else f"an array of {len(args)}", v, codes)
+        return tuple(_value(args[0 if variadic else i], x, f"{path}[{i}]", codes) for i, x in enumerate(v))
     # json.loads gives exact int/float/str/bool types, and bool is not int here.
     if tp is float and type(v) in (int, float) and abs(v) <= sys.float_info.max:
         return float(v)  # NaN, infinities and integers beyond any float fail the bound
     if tp is not float and type(v) is tp:
         return v
-    raise _wrong(path, _SCALARS[tp], v)
+    raise _wrong(path, _SCALARS[tp], v, codes)
 
 
-def _wrong(path: str, want: str, got: Any) -> HydroNetsError:
-    return HydroNetsError("invalid-config", f"{path} must be {want}, got {json.dumps(got)[:40]}")
+def _wrong(path: str, want: str, got: Any, codes: tuple[str, str]) -> HydroNetsError:
+    # Named, not written: json.dumps of a deep container overflows the stack.
+    shown = {list: "an array", dict: "an object"}.get(type(got)) or json.dumps(got)[:40]
+    return HydroNetsError(codes[0], f"{path} must be {want}, got {shown}")

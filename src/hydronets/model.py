@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import from_doc, parse_json
+from .codec import CHECKPOINT, from_doc, parse_json
 from .data import Example, ExampleSet
 from .errors import HydroNetsError
 from .region import RegionGraph, prune_to_depth
@@ -107,7 +107,8 @@ class HydroNetParams:
 
     :meth:`block` is the view of one :func:`layout` block. ``plan`` is
     the graph's :class:`_Plan` at ``dims``, built when the parameters are
-    made and shared by all that :meth:`unpack` wraps. The fields cannot be
+    made and shared by all that :meth:`unpack` wraps; a copy or a pickle
+    holds a copy of the vector and builds its own. The fields cannot be
     rebound, since a new array would not be part of the vector: write
     through ``[...]`` instead.
     """
@@ -117,26 +118,40 @@ class HydroNetParams:
         """Copy the blocks into a new vector. The combiner and head
         arguments map basin id to block; every block must have its
         :func:`layout` shape, or ``shape-mismatch`` is raised."""
-        plan = _plan(graph, dims)
-        self.__dict__.update(vars(self._wrap(graph, dims, plan, np.zeros(plan.size))))
         given = {"shared_w": shared_w, "shared_b": shared_b, "combiner_w": combiner_w,
                  "combiner_b": combiner_b, "head_w": head_w, "head_b": head_b}
         blocks = layout(graph, dims)
-        for field, bid, shape in blocks:
-            value = given[field] if bid is None else given[field].get(bid)
-            if value is None or np.shape(value) != shape:
-                raise HydroNetsError("shape-mismatch", f"block {field}/{bid} is {np.shape(value)}, want {shape}")
-            self.block(field, bid)[...] = value
+        values = [given[field] if bid is None else given[field].get(bid) for field, bid, _ in blocks]
+        for (field, bid, shape), value in zip(blocks, values):
+            try:
+                got = None if value is None else np.shape(value)
+            except ValueError:  # nested sequences of unequal lengths have no shape
+                got = "ragged"
+            if got != shape:
+                raise HydroNetsError("shape-mismatch", f"block {field}/{bid} is {got}, want {shape}")
         if sum(map(len, (combiner_w, combiner_b, head_w, head_b))) != len(blocks) - 2:
             raise HydroNetsError("shape-mismatch", "combiner or head blocks for basins the layout lacks")
+        # Only blocks of the layout's shapes reach the plan, whose arrays grow with the dims.
+        plan = _plan(graph, dims)
+        self.__dict__.update(vars(self._wrap(graph, dims, np.zeros(plan.size), plan)))
+        for (field, bid, _), value in zip(blocks, values):
+            self.block(field, bid)[...] = value
 
     @classmethod
-    def _wrap(cls, graph: RegionGraph, dims: Dims, plan: "_Plan", vector: np.ndarray) -> "HydroNetParams":
-        """Parameters viewing ``vector``, which must have ``plan``'s size."""
+    def _wrap(cls, graph: RegionGraph, dims: Dims, vector: np.ndarray,
+              plan: "_Plan | None" = None) -> "HydroNetParams":
+        """Parameters viewing ``vector`` through ``plan``, by default a new
+        plan of the graph at ``dims``; the sizes must agree."""
+        plan = plan or _plan(graph, dims)
         p = object.__new__(cls)
         views = {name: vector[s].reshape(shape) for name, s, shape in plan.fields}
         p.__dict__.update(graph=graph, dims=dims, plan=plan, vector=vector, **views)
         return p
+
+    def __reduce__(self):
+        # The plan holds mapping proxies, which cannot be copied or pickled;
+        # a copy builds its own around a copy of the vector.
+        return self._wrap, (self.graph, self.dims, self.vector.copy())
 
     def __setattr__(self, name: str, value) -> None:
         # ``p.shared_w += x`` writes in place, then sets the same view again.
@@ -157,7 +172,7 @@ class HydroNetParams:
         size = self.plan.size
         if vector.shape != (size,):
             raise HydroNetsError("shape-mismatch", f"vector has shape {vector.shape}, expected ({size},)")
-        return self._wrap(self.graph, self.dims, self.plan, vector)
+        return self._wrap(self.graph, self.dims, vector, self.plan)
 
 
 @dataclass
@@ -198,7 +213,7 @@ def init_hydronet(g: RegionGraph, dims: Dims, seed: int) -> HydroNetParams:
     """Gaussian(0, 1/fan_in) weights, zero biases, deterministic per seed.
     Weight blocks draw from one generator in :func:`layout` order."""
     plan = _plan(g, dims)
-    p = HydroNetParams._wrap(g, dims, plan, np.zeros(plan.size))
+    p = HydroNetParams._wrap(g, dims, np.zeros(plan.size), plan)
     rng = np.random.default_rng(seed)
     for field, bid, shape in layout(g, dims):
         if field.endswith("_w"):
@@ -515,78 +530,79 @@ def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# The checkpoint file's schemas, one per model kind, read through from_doc.
+@dataclass(frozen=True)
+class _Linear:
+    kind: str
+    dims: Dims
+    target: str
+    included: tuple[str, ...]
+    weights: tuple[float, ...]
+    bias: float
+
+
+@dataclass(frozen=True)
+class _Combiner:
+    w: tuple[tuple[float, ...], ...]
+    b: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class _Head:
+    w: tuple[float, ...]
+    b: float
+
+
+@dataclass(frozen=True)
+class _Tree:
+    kind: str
+    dims: Dims
+    graph_fingerprint: str
+    shared_w: tuple[tuple[float, ...], ...]
+    shared_b: tuple[float, ...]
+    combiners: dict[str, _Combiner]
+    heads: dict[str, _Head]
+
+
 def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams | FlatLinearParams:
-    """Rebuild parameters from checkpoint text. Tree checkpoints need the
-    region graph and verify its fingerprint; every block must have the
-    shape :func:`layout` gives for that graph and the checkpoint's dims,
-    and every parameter must be a finite JSON number. A linear
-    checkpoint's ``included`` basins must be distinct and hold its
-    ``target``; given ``g``, the target and every included basin must be
-    basins of it."""
+    """Rebuild parameters from checkpoint text, read through its
+    ``kind``'s schema by :func:`~hydronets.codec.from_doc` (any misfit is
+    ``bad-checkpoint``). Tree checkpoints need the region graph and verify
+    its fingerprint; every block must have the shape :func:`layout` gives
+    for that graph and the checkpoint's dims. A linear checkpoint's
+    ``included`` basins must be distinct and hold its ``target``; given
+    ``g``, the target and every included basin must be basins of it."""
     doc = parse_json(text, "bad-checkpoint")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in ("linear", "hydronets"):
+        raise HydroNetsError("bad-checkpoint", "a checkpoint is an object of kind 'hydronets' or 'linear'")
+    ck = from_doc(_Linear if kind == "linear" else _Tree, doc, codes=CHECKPOINT)
     try:
-        try:
-            dims = from_doc(Dims, doc["dims"], "dims")
-            dims.check()
-        except HydroNetsError as e:
-            raise HydroNetsError("bad-checkpoint", str(e)) from None
-        if doc["kind"] == "linear":
-            target, included = doc["target"], doc["included"]
-            if not (isinstance(included, list) and all(isinstance(b, str) for b in [target, *included])):
-                raise HydroNetsError("bad-checkpoint", "target and included must be basin ids")
-            if g is not None and not {target, *included} <= set(g.basin_ids):
-                raise HydroNetsError("graph-mismatch", f"{[target, *included]} names basins not in the region")
-            if len(set(included)) != len(included) or target not in included:
-                raise HydroNetsError("bad-checkpoint", f"included {included} repeats a basin or lacks {target!r}")
-            p = FlatLinearParams(
-                target=target,
-                included=tuple(included),
-                dims=dims,
-                weights=np.array(_numbers(doc["weights"]), dtype=float),
-                bias=float(_numbers(doc["bias"])),
-            )
-            if p.weights.shape != (len(p.included) * dims.window * dims.channels,):
-                raise HydroNetsError("bad-checkpoint", f"weights have shape {p.weights.shape}")
-            if not np.all(np.isfinite(p.pack())):
-                raise HydroNetsError("bad-checkpoint", "weights or bias are not finite")
-            return p
-        if doc["kind"] != "hydronets":
-            raise HydroNetsError("bad-checkpoint", f"unknown model kind {doc['kind']!r}")
-        if g is None:
-            raise HydroNetsError("missing-graph", "tree checkpoints need the region graph to load")
-        if graph_fingerprint(g) != doc["graph_fingerprint"]:
-            raise HydroNetsError("graph-mismatch", "checkpoint was trained on a different region graph")
-        combiners, heads = doc["combiners"], doc["heads"]
-        if set(combiners) != {bid for bid in g.basin_ids if g.upstream[bid]}:
-            raise HydroNetsError("bad-checkpoint", f"combiners for {sorted(combiners)} do not match the region")
-        if set(heads) != set(g.basin_ids):
-            raise HydroNetsError("bad-checkpoint", f"heads for {sorted(heads)} do not match the region")
-        per_basin = {f"{field}_{part}": {bid: _numbers(v[part]) for bid, v in group.items()}
-                     for field, group in (("combiner", combiners), ("head", heads)) for part in "wb"}
-        try:
-            p = HydroNetParams(g, dims, _numbers(doc["shared_w"]), _numbers(doc["shared_b"]), **per_basin)
-        except HydroNetsError as e:
-            if e.code != "shape-mismatch":
-                raise
-            raise HydroNetsError("bad-checkpoint", str(e)) from None
-        if not np.all(np.isfinite(p.vector)):
-            raise HydroNetsError("bad-checkpoint", "parameters are not finite")
-        return p
-    except KeyError as e:
-        raise HydroNetsError("bad-checkpoint", f"checkpoint missing field {e}") from None
-    except (TypeError, ValueError, OverflowError) as e:  # overflow: an integer beyond any float
-        raise HydroNetsError("bad-checkpoint", f"malformed checkpoint: {e}") from None
-
-
-def _numbers(value):
-    """``value``, once every leaf of its nested lists is a JSON number:
-    ``float`` and numpy would quietly convert a string, a boolean or a
-    null."""
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, list):
-            stack.extend(v)
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise HydroNetsError("bad-checkpoint", f"parameter {v!r:.40} is not a number")
-    return value
+        ck.dims.check()
+    except HydroNetsError as e:
+        raise HydroNetsError("bad-checkpoint", str(e)) from None
+    if isinstance(ck, _Linear):
+        basins = [ck.target, *ck.included]
+        if g is not None and not set(basins) <= set(g.basin_ids):
+            raise HydroNetsError("graph-mismatch", f"{basins} names basins not in the region")
+        if len(set(ck.included)) != len(ck.included) or ck.target not in ck.included:
+            raise HydroNetsError("bad-checkpoint", f"included {ck.included} repeats a basin or lacks {ck.target!r}")
+        if len(ck.weights) != len(ck.included) * ck.dims.window * ck.dims.channels:
+            raise HydroNetsError("bad-checkpoint", f"weights have shape ({len(ck.weights)},)")
+        return FlatLinearParams(ck.target, ck.included, ck.dims, np.array(ck.weights), ck.bias)
+    if g is None:
+        raise HydroNetsError("missing-graph", "tree checkpoints need the region graph to load")
+    if graph_fingerprint(g) != ck.graph_fingerprint:
+        raise HydroNetsError("graph-mismatch", "checkpoint was trained on a different region graph")
+    if set(ck.combiners) != {bid for bid in g.basin_ids if g.upstream[bid]}:
+        raise HydroNetsError("bad-checkpoint", f"combiners for {sorted(ck.combiners)} do not match the region")
+    if set(ck.heads) != set(g.basin_ids):
+        raise HydroNetsError("bad-checkpoint", f"heads for {sorted(ck.heads)} do not match the region")
+    per_basin = {f"{field}_{part}": {bid: getattr(v, part) for bid, v in group.items()}
+                 for field, group in (("combiner", ck.combiners), ("head", ck.heads)) for part in "wb"}
+    try:
+        return HydroNetParams(g, ck.dims, ck.shared_w, ck.shared_b, **per_basin)
+    except HydroNetsError as e:
+        if e.code != "shape-mismatch":
+            raise
+        raise HydroNetsError("bad-checkpoint", str(e)) from None

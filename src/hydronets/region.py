@@ -1,5 +1,8 @@
 """Basin connectivity graphs: parsing, validation, and tree surgery.
 
+:class:`Basin` and :class:`RegionGraph` are the region file's schema,
+which :func:`parse_region` reads through :mod:`~hydronets.codec`.
+
 A region is an inverted tree of basins: every basin drains into at most one
 downstream basin, and exactly one basin (the drain) has no outlet. The graph
 shape drives the model's computation graph, so everything here is strictly
@@ -17,22 +20,21 @@ from __future__ import annotations
 
 import heapq
 import json
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .codec import parse_json
+from .codec import REGION, from_doc, parse_json
 from .errors import HydroNetsError
 
 
 @dataclass(frozen=True)
 class Basin:
-    """One drainage area. ``static_features`` are carried but unused by the
-    linear models."""
+    """One drainage area. ``static`` features are carried but unused by
+    the linear models."""
 
     id: str
     name: str
-    static_features: tuple[float, ...] | None = None
+    static: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -98,71 +100,30 @@ class ValidationReport:
         return tuple(code for code, _ in self.errors)
 
 
-_REGION_KEYS = {"basins", "edges"}
-_BASIN_KEYS = {"id", "name", "static"}
-
-
 def parse_region(text: str) -> RegionGraph:
     """Parse a region file (JSON with "basins" and "edges" arrays).
 
     Echoes the declared structure exactly; tree invariants are checked by
-    :func:`validate`, not here. Raises on malformed syntax (ids with
-    leading or trailing whitespace and non-finite ``static`` numbers
-    included), duplicate ids, edges naming unknown basins, unknown fields,
-    and empty basin lists.
+    :func:`validate`, not here. Besides what the schema states (an
+    unknown field is ``unknown-field``, any other misfit ``syntax-error``),
+    rejects empty basin lists, ids that are empty or have leading or
+    trailing whitespace, duplicate ids and edges naming unknown basins.
     """
-    doc = parse_json(text, "syntax-error")
-    if not isinstance(doc, dict):
-        raise HydroNetsError("syntax-error", "region file must be a JSON object")
-    unknown = set(doc) - _REGION_KEYS
-    if unknown:
-        raise HydroNetsError("unknown-field", f"unknown top-level fields: {sorted(unknown)}")
-    if not isinstance(doc.get("basins"), list) or not isinstance(doc.get("edges"), list):
-        raise HydroNetsError("syntax-error", "region file needs 'basins' and 'edges' arrays")
-    if not doc["basins"]:
+    g = from_doc(RegionGraph, parse_json(text, "syntax-error"), codes=REGION)
+    if not g.basins:
         raise HydroNetsError("empty-region", "region declares no basins")
-
-    basins: list[Basin] = []
     seen: set[str] = set()
-    for i, entry in enumerate(doc["basins"]):
-        if not isinstance(entry, dict):
-            raise HydroNetsError("syntax-error", f"basin #{i} is not an object")
-        unknown = set(entry) - _BASIN_KEYS
-        if unknown:
-            raise HydroNetsError("unknown-field", f"basin #{i} has unknown fields: {sorted(unknown)}")
-        bid = entry.get("id")
-        name = entry.get("name")
-        if not isinstance(bid, str) or not bid:
-            raise HydroNetsError("syntax-error", f"basin #{i} needs a non-empty string 'id'")
-        if bid != bid.strip():  # series files strip their fields, so no row could name it
-            raise HydroNetsError("syntax-error", f"basin id {bid!r} has leading or trailing whitespace")
-        if not isinstance(name, str):
-            raise HydroNetsError("syntax-error", f"basin {bid!r} needs a string 'name'")
-        if bid in seen:
-            raise HydroNetsError("duplicate-id", f"basin id {bid!r} declared more than once")
-        seen.add(bid)
-        static = entry.get("static")
-        if static is not None:
-            if not isinstance(static, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in static
-            ):
-                raise HydroNetsError("syntax-error", f"basin {bid!r} 'static' must be a number array")
-            if not all(abs(v) <= sys.float_info.max for v in static):  # NaN, infinities, huge integers
-                raise HydroNetsError("syntax-error", f"basin {bid!r} 'static' must hold finite numbers")
-            static = tuple(float(v) for v in static)
-        basins.append(Basin(id=bid, name=name, static_features=static))
-
-    edges: list[tuple[str, str]] = []
-    for i, entry in enumerate(doc["edges"]):
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, str) for v in entry)):
-            raise HydroNetsError("syntax-error", f"edge #{i} must be a [src_id, dst_id] pair")
-        src, dst = entry
-        for endpoint in (src, dst):
+    for b in g.basins:
+        if not b.id or b.id != b.id.strip():  # series files strip their fields, so no row could name it
+            raise HydroNetsError("syntax-error", f"basin id {b.id!r} is empty or has leading or trailing whitespace")
+        if b.id in seen:
+            raise HydroNetsError("duplicate-id", f"basin id {b.id!r} declared more than once")
+        seen.add(b.id)
+    for i, edge in enumerate(g.edges):
+        for endpoint in edge:
             if endpoint not in seen:
                 raise HydroNetsError("unknown-edge-endpoint", f"edge #{i} references unknown basin {endpoint!r}")
-        edges.append((src, dst))
-
-    return RegionGraph(basins=tuple(basins), edges=tuple(edges))
+    return g
 
 
 def dump_region(g: RegionGraph) -> str:
@@ -170,8 +131,8 @@ def dump_region(g: RegionGraph) -> str:
     basins = []
     for b in g.basins:
         entry: dict = {"id": b.id, "name": b.name}
-        if b.static_features is not None:
-            entry["static"] = list(b.static_features)
+        if b.static is not None:
+            entry["static"] = list(b.static)
         basins.append(entry)
     doc = {"basins": basins, "edges": [list(e) for e in g.edges]}
     return json.dumps(doc, indent=2) + "\n"

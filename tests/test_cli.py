@@ -108,8 +108,12 @@ class TestValidate:
         assert main(["validate", str(f)]) == 1
         assert "cycle-detected" in capsys.readouterr().out
 
-    def test_missing_file(self, tmp_path):
-        assert main(["validate", str(tmp_path / "nope.json")]) == 2
+    def test_missing_file(self, tmp_path, capsys):
+        # A file that cannot be read fails validation, as a malformed one does.
+        for path in (tmp_path / "nope.json", tmp_path):
+            assert main(["validate", str(path)]) == 1
+            out = capsys.readouterr().out
+            assert out.startswith(f"syntax-error: cannot read {path}: "), out
 
     def test_malformed_region_fails_without_traceback(self, tmp_path, capsys):
         for i, data in enumerate([b"[" * 100000, b"1" * 5000, b'{"basins": "\xff"}']):
@@ -320,6 +324,34 @@ class TestTrainEvaluate:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert code in err and "Traceback" not in err, (argv, err)
+
+    def test_unreadable_inputs_exit_two(self, tmp_path, capsys, fork_graph):
+        missing = tmp_path / "missing.json"
+        region = tmp_path / "region.json"
+        region.write_text(dump_region(fork_graph))
+        good = write_exp_config(tmp_path / "good.json", tmp_path / "run")
+        from_files = {"synth": None, "region": str(region), "series": str(missing)}
+        cases = [
+            (["train", "--config", str(missing)], "invalid-config"),
+            (["gen-synth", "--config", str(tmp_path), "--out", str(tmp_path / "out")], "invalid-config"),
+            (["evaluate", "--config", good, "--checkpoint", str(missing)], "bad-checkpoint"),
+            (["train", "--config", write_exp_config(
+                tmp_path / "no-series.json", tmp_path / "run", **from_files)], "syntax-error"),
+            (["train", "--config", write_exp_config(
+                tmp_path / "no-region.json", tmp_path / "run", **{**from_files, "region": str(missing)},
+            )], "syntax-error"),
+        ]
+        for argv, code in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"{code}: cannot read ") and "Traceback" not in err, (argv, err)
+
+    def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["gen-synth", "--out", str(blocker / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output-error: ") and str(blocker) in err, err
 
     def test_inputs_may_start_with_a_byte_order_mark(self, tmp_path, fork_graph):
         # Spreadsheet tools write one. The manifest hashes the text after it.
@@ -619,7 +651,7 @@ class TestRegionFuzz:
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
         g, _ = generate_synthetic(SynthConfig(branching=2, height=3, n_steps=10, seed=3))
-        g = RegionGraph(basins=(*g.basins[:-1], replace(g.basins[-1], static_features=(0.5, 2.0))), edges=g.edges)
+        g = RegionGraph(basins=(*g.basins[:-1], replace(g.basins[-1], static=(0.5, 2.0))), edges=g.edges)
         return tmp_path_factory.mktemp("fuzz") / "region.json", json.loads(dump_region(g))
 
     @settings(max_examples=400, deadline=None)
@@ -646,6 +678,74 @@ class TestRegionFuzz:
             return
         written = dump_region(g)
         assert dump_region(parse_region(written)) == written
+
+
+# JSON literals for a value where each input kind holds a number.
+NUMBER_LITERALS = {
+    "true": "true", "string": '"1.0"', "nan": "NaN", "infinity": "Infinity", "1e400": "1e400",
+    "400-digits": "9" * 400,
+}
+MARK = "<number>"
+
+
+def _field(path):
+    """``path`` as error messages name it: ``heads.b0.b``, ``basins[0].static[0]``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+class TestJsonKinds:
+    """The same bad values in a config, a region and both checkpoint kinds
+    fail with the kind's code, naming the field, and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def kinds(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kinds")
+        cfg_path = write_exp_config(root / "exp.json", root / "run")
+        config = json.loads(Path(cfg_path).read_text())
+        g, _ = generate_synthetic(SynthConfig(**config["synth"]))
+        region = json.loads(dump_region(g))
+        region["basins"][0]["static"] = [0.5, 2.0]
+        dims = Dims(**DIMS)
+        tree = json.loads(save_checkpoint(init_hydronet(g, dims, 0)))
+        flat = json.loads(save_checkpoint(init_flat(g, drain_of(g), 2, dims, 0)))
+        evaluate = ["evaluate", "--config", cfg_path, "--checkpoint"]
+        checkpoint = 2, ("bad-checkpoint", "bad-checkpoint")
+        # kind: document, a number's path, a required field's path, the
+        # command before the file, its exit code and the kind's codes
+        # (a bad value, an unknown field).
+        return root, {
+            "config": (config, ("train", "learning_rate"), ("dims", "window"), ["train", "--config"],
+                       2, ("invalid-config", "invalid-config")),
+            "region": (region, ("basins", 0, "static", 1), ("basins", 0, "name"), ["validate"],
+                       1, ("syntax-error", "unknown-field")),
+            "tree": (tree, ("heads", drain_of(g), "b"), ("graph_fingerprint",), evaluate, *checkpoint),
+            "linear": (flat, ("bias",), ("target",), evaluate, *checkpoint),
+        }
+
+    @pytest.mark.parametrize("edit", [*NUMBER_LITERALS, "null", "unknown", "missing"])
+    @pytest.mark.parametrize("kind", ["config", "region", "tree", "linear"])
+    def test_bad_value_fails_with_the_kinds_code(self, kinds, kind, edit, capsys):
+        root, table = kinds
+        doc, number, required, argv, exit_code, codes = table[kind]
+        doc = copy.deepcopy(doc)
+        if edit in NUMBER_LITERALS:
+            _at(doc, number[:-1])[number[-1]] = MARK
+            code, named = codes[0], f"{_field(number)} must be a finite number, got "
+        elif edit == "null":
+            _at(doc, required[:-1])[required[-1]] = None
+            code, named = codes[0], f"{_field(required)} must be "
+        elif edit == "missing":
+            del _at(doc, required[:-1])[required[-1]]
+            code, named = codes[0], f"missing field {_field(required)}"
+        else:
+            doc["bogus"] = 1
+            code, named = codes[1], "unknown field bogus"
+        path = root / f"{kind}-{edit}.json"
+        path.write_text(json.dumps(doc).replace(json.dumps(MARK), NUMBER_LITERALS.get(edit, "")))
+        assert main([*argv, str(path)]) == exit_code
+        out, err = capsys.readouterr()
+        message = out if exit_code == 1 else err
+        assert message.startswith(f"{code}: ") and named in message and "Traceback" not in err, (out, err)
 
 
 README = (Path(__file__).parents[1] / "README.md").read_text()

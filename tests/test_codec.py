@@ -1,19 +1,22 @@
-"""The config reader: round trips through JSON and fuzzed documents."""
+"""The JSON reader: round trips, dict fields, each file kind's codes, and
+fuzzed config documents."""
 
 import copy
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydronets.codec import from_doc
+from hydronets import model
+from hydronets.codec import CHECKPOINT, CONFIG, REGION, from_doc
 from hydronets.data import SynthConfig
 from hydronets.errors import HydroNetsError
 from hydronets.experiments import ExperimentConfig
-from hydronets.model import Dims
+from hydronets.model import Dims, init_flat, init_hydronet, save_checkpoint
+from hydronets.region import Basin, RegionGraph
 from hydronets.training import TrainConfig
 
 FROM_SYNTH = ExperimentConfig(
@@ -32,8 +35,23 @@ FROM_FILES = ExperimentConfig(
     workers=3,
 )
 
+REGION_GRAPH = RegionGraph(
+    basins=(Basin(id="b1", name="one", static=(0.5, -2.0)), Basin(id="b2", name="two")),
+    edges=(("b1", "b2"),),
+)
+# Both checkpoint schemas, as the saved checkpoints of a two-basin chain read.
+CHECKPOINTS = [
+    from_doc(schema, json.loads(save_checkpoint(p)), codes=CHECKPOINT)
+    for schema, p in [
+        (model._Tree, init_hydronet(REGION_GRAPH, FROM_SYNTH.dims, 0)),
+        (model._Linear, init_flat(REGION_GRAPH, "b2", 2, FROM_SYNTH.dims, 0)),
+    ]
+]
 
-@pytest.mark.parametrize("cfg", [FROM_SYNTH.dims, FROM_SYNTH.train, FROM_SYNTH, FROM_FILES])
+
+@pytest.mark.parametrize(
+    "cfg", [FROM_SYNTH.dims, FROM_SYNTH.train, FROM_SYNTH, FROM_FILES, REGION_GRAPH, *CHECKPOINTS]
+)
 def test_round_trip(cfg):
     assert from_doc(type(cfg), json.loads(json.dumps(asdict(cfg)))) == cfg
 
@@ -42,6 +60,69 @@ def test_integer_for_float_is_stored_as_float():
     cfg = from_doc(TrainConfig, {"learning_rate": 0})
     assert cfg.learning_rate == 0.0 and isinstance(cfg.learning_rate, float)
     assert from_doc(SynthConfig, {"kernel_scale": [2, 3]}).kernel_scale == (2.0, 3.0)
+
+
+@dataclass(frozen=True)
+class Table:
+    rows: dict[str, tuple[float, ...]]
+
+
+@dataclass(frozen=True)
+class Nested:
+    rows: dict[str, Dims]
+
+
+def test_dict_values_are_converted():
+    table = from_doc(Table, {"rows": {"a": [1, 2.5], "b": []}})
+    assert table == Table(rows={"a": (1.0, 2.5), "b": ()}) and type(table.rows["a"][0]) is float
+
+
+@pytest.mark.parametrize("rows", [[], [["a", 1]], "a", 1, None])
+def test_dict_takes_only_an_object(rows):
+    with pytest.raises(HydroNetsError, match="^invalid-config: rows must be an object, got "):
+        from_doc(Table, {"rows": rows})
+
+
+def test_a_wrong_container_is_named_not_written_out():
+    deep = []
+    for _ in range(100_000):  # deeper than json.dumps could write
+        deep = [deep]
+    for name, value, message in [
+        ("dims", deep, "an object, got an array"), ("seeds", {"a": deep}, "an array, got an object"),
+    ]:
+        with pytest.raises(HydroNetsError, match=f"^invalid-config: {name} must be {message}$"):
+            from_doc(ExperimentConfig, {**_doc(FROM_FILES), name: value})
+
+
+def test_dict_errors_name_the_key_path():
+    with pytest.raises(HydroNetsError, match=r"^invalid-config: rows\.b\[1\] must be a finite number, got \"2\""):
+        from_doc(Table, {"rows": {"a": [1], "b": [1, "2"]}})
+
+
+@pytest.mark.parametrize("codes", [CONFIG, REGION, CHECKPOINT], ids=["config", "region", "checkpoint"])
+def test_each_file_kind_has_its_codes(codes):
+    wrong, unknown = codes
+    dims = {"window": 4, "embedding": 2, "horizon": 1}
+    cases = [
+        ([dims], wrong, "Dims must be an object"),
+        ({**dims, "window": True}, wrong, "window must be an integer, got true"),
+        ({"window": 4}, wrong, "missing field embedding; missing field horizon"),
+        ({**dims, "extra": 1}, unknown, "unknown field extra"),
+        # Unknown fields take the code when fields are also missing.
+        ({"window": 4, "extra": 1}, unknown, "unknown field extra; missing field embedding; missing field horizon"),
+    ]
+    for doc, code, message in cases:
+        with pytest.raises(HydroNetsError) as e:
+            from_doc(Dims, doc, codes=codes)
+        assert e.value.code == code and str(e.value).startswith(f"{code}: {message}")
+    # Values inside dicts and nested dataclasses report under the same codes.
+    for doc, code, message in [
+        ({"rows": {"a": {**dims, "window": "4"}}}, wrong, 'rows.a.window must be an integer, got "4"'),
+        ({"rows": {"a": {"window": 4, "z": 1}}}, unknown, "unknown field rows.a.z; missing field rows.a.embedding"),
+    ]:
+        with pytest.raises(HydroNetsError) as e:
+            from_doc(Nested, doc, codes=codes)
+        assert e.value.code == code and str(e.value).startswith(f"{code}: {message}")
 
 
 def _doc(cfg):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -391,6 +392,23 @@ class TestParamStore:
             with pytest.raises(HydroNetsError, match="shape-mismatch"):
                 HydroNetParams(fork_graph, dims, **kwargs)
 
+    def test_ragged_block_is_rejected(self, fork_graph):
+        dims = Dims(window=2, embedding=2, horizon=1)
+        kwargs = block_kwargs(fork_graph, dims, np.ones)
+        kwargs["shared_w"] = [[1.0, 2.0, 3.0, 4.0], [1.0]]
+        with pytest.raises(HydroNetsError, match="shape-mismatch: block shared_w/None is ragged"):
+            HydroNetParams(fork_graph, dims, **kwargs)
+
+    def test_copies_hold_their_own_vector(self, fork_graph):
+        p = init_hydronet(fork_graph, Dims(window=3, embedding=2, horizon=1), 4)
+        before, text = p.vector.copy(), save_checkpoint(p)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q.graph == p.graph and q.dims == p.dims and save_checkpoint(q) == text
+            assert not np.shares_memory(q.vector, p.vector)
+            q.shared_w[...] = 7.0
+            assert np.all(q.unpack(q.vector.copy()).shared_w == 7.0)
+            np.testing.assert_array_equal(p.vector, before)
+
 
 class TestCheckpoints:
     def test_hydronet_round_trip_bit_exact(self, fork_graph):
@@ -473,6 +491,15 @@ class TestCheckpoints:
         for text in foreign:
             with pytest.raises(HydroNetsError, match="graph-mismatch"):
                 load_checkpoint(text, fork_graph)
+
+    def test_dims_beyond_any_array_fail_on_block_shapes(self, fork_graph):
+        # The blocks are checked against the layout before a plan of the
+        # checkpoint's dims is built, so no array of that size is asked for.
+        doc = json.loads(save_checkpoint(init_hydronet(fork_graph, Dims(window=2, embedding=2, horizon=1), 0)))
+        for field in ("window", "embedding", "channels"):
+            edited = {**doc, "dims": {**doc["dims"], field: 10**30}}
+            with pytest.raises(HydroNetsError, match="^bad-checkpoint: shape-mismatch: block "):
+                load_checkpoint(json.dumps(edited), fork_graph)
 
     def test_fingerprint_ignores_declaration_order(self, fork_graph):
         reordered = RegionGraph(basins=fork_graph.basins[::-1], edges=fork_graph.edges[::-1])

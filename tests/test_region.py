@@ -83,7 +83,7 @@ class TestParse:
     def test_static_features_carried(self):
         doc = {"basins": [{"id": "b1", "name": "x", "static": [1.0, 2.0]}], "edges": []}
         g = parse_region(json.dumps(doc))
-        assert g.basins[0].static_features == (1.0, 2.0)
+        assert g.basins[0].static == (1.0, 2.0)
 
     def test_round_trip(self, fork_graph):
         assert parse_region(dump_region(fork_graph)) == fork_graph
