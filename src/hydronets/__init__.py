@@ -9,6 +9,8 @@ synthetic region generator, and an experiment harness with seed-exact
 reproducibility.
 """
 
+import types as _types
+
 from .data import (
     ExampleSet,
     NormStats,
@@ -66,55 +68,6 @@ from .training import (
     weighted_mse_loss,
 )
 
-__all__ = [
-    "Basin",
-    "Dims",
-    "ExampleSet",
-    "ExperimentConfig",
-    "FlatLinearParams",
-    "HydroNetParams",
-    "HydroNetsError",
-    "LossWeights",
-    "MetricsReport",
-    "NormStats",
-    "RegionGraph",
-    "ReportTable",
-    "SeriesStore",
-    "SynthConfig",
-    "TrainConfig",
-    "TrainResult",
-    "ValidationReport",
-    "backward_hydronet",
-    "drain_of",
-    "dump_region",
-    "dump_series",
-    "emit_report",
-    "evaluate",
-    "finite_difference_grad",
-    "fit_norm_stats",
-    "forward_hydronet",
-    "generate_synthetic",
-    "height",
-    "init_flat",
-    "init_hydronet",
-    "load_checkpoint",
-    "load_series",
-    "mse",
-    "param_count",
-    "parse_region",
-    "prepare_datasets",
-    "prune_to_depth",
-    "r2_nse",
-    "r2_persist",
-    "run_all_basins",
-    "run_depth_experiment",
-    "run_scarcity",
-    "save_checkpoint",
-    "split_chronological",
-    "topological_order",
-    "train",
-    "train_flat",
-    "validate",
-    "weighted_mse_loss",
-    "window_examples",
-]
+# Every name imported above, so that each is listed once.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -12,10 +12,10 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .codec import from_doc, parse_json, read_input
+from .codec import from_doc, parse_json, read_input, to_doc
 from .data import SynthConfig, dump_series, generate_synthetic, load_series, prepare_datasets
 from .errors import HydroNetsError
 from .experiments import (
@@ -60,7 +60,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "region.json").write_text(dump_region(g))
     (out / "series.csv").write_text(dump_series(store))
-    (out / "synth.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
+    (out / "synth.json").write_text(json.dumps(to_doc(cfg), indent=2, sort_keys=True) + "\n")
     print(f"wrote {out / 'region.json'} and {out / 'series.csv'} ({store.n_steps} steps)")
     return 0
 

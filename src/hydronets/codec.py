@@ -1,13 +1,16 @@
-"""The one reader of parsed JSON: configs, region files and checkpoints.
+"""The one reader and writer of JSON: configs, region files and checkpoints.
 
-:func:`from_doc` builds a dataclass from a parsed JSON document by
-following the class's type annotations; ``dataclasses.asdict`` is the
-writer. A nested dataclass is a JSON object, ``dict[str, T]`` is an
-object whose values are ``T``, ``tuple[T, ...]`` and ``tuple[T, T]`` are
-arrays (the second of fixed length), ``X | None`` also takes ``null``,
-``int`` takes a JSON integer but not a boolean, ``float`` takes any finite
-JSON number and stores it as a float, and ``str`` takes a string. Every
-error message names the field path (``basins[2].id``, ``heads.b3.w``).
+Each file kind's schema is a frozen dataclass, which alone states its keys,
+their order and their nesting. :func:`from_doc` builds it from a parsed
+JSON document by following its type annotations; :func:`to_doc`, the
+mirror, writes it with every ``None`` field left out, which
+:func:`from_doc` reads back as the field's default, ``None``. A nested
+dataclass is a JSON object, ``dict[str, T]`` is an object whose values
+are ``T``, ``tuple[T, ...]`` and ``tuple[T, T]`` are arrays (the second
+of fixed length), ``X | None`` also takes ``null``, ``int`` takes a JSON
+integer but not a boolean, ``float`` takes any finite JSON number and
+stores it as a float, and ``str`` takes a string. Every error message
+names the field path (``basins[2].id``, ``heads.b3.w``).
 Each file kind has a pair of codes (:data:`CONFIG`, :data:`REGION`,
 :data:`CHECKPOINT`): for a missing field or a value of the wrong type,
 and for an unknown field, which is reported first.
@@ -20,10 +23,11 @@ the error code of the file's kind.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import types
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -33,6 +37,10 @@ _SCALARS = {int: "an integer", float: "a finite number", str: "a string"}
 CONFIG = ("invalid-config", "invalid-config")
 REGION = ("syntax-error", "unknown-field")
 CHECKPOINT = ("bad-checkpoint", "bad-checkpoint")
+
+# get_type_hints compiles every string annotation on each call. One entry per
+# schema class, a fixed set; the shared dicts are only read.
+_hints = functools.cache(get_type_hints)
 
 
 def read_input(path: str | Path, code: str) -> str:
@@ -62,7 +70,7 @@ def from_doc(cls: type, doc: Any, path: str = "", codes: tuple[str, str] = CONFI
     if not isinstance(doc, dict):
         raise _wrong(path or cls.__name__, "an object", doc, codes)
     prefix = f"{path}." if path else ""
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     unknown = [f"unknown field {prefix}{name}" for name in sorted(set(doc) - set(hints))]
     missing = [
         f"missing field {prefix}{f.name}" for f in fields(cls)
@@ -71,6 +79,12 @@ def from_doc(cls: type, doc: Any, path: str = "", codes: tuple[str, str] = CONFI
     if unknown or missing:
         raise HydroNetsError(codes[1] if unknown else codes[0], "; ".join(unknown + missing))
     return cls(**{name: _value(hints[name], v, prefix + name, codes) for name, v in doc.items()})
+
+
+def to_doc(obj: Any) -> dict:
+    """Dataclass ``obj`` as a JSON document, fields in declaration order;
+    a field that is ``None``, at any depth, is left out."""
+    return asdict(obj, dict_factory=lambda items: {name: v for name, v in items if v is not None})
 
 
 def _value(tp: Any, v: Any, path: str, codes: tuple[str, str]) -> Any:

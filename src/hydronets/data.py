@@ -45,6 +45,8 @@ PRECIP = 0
 LEVEL = 1
 CHANNELS = ("precip", "level")
 D_X = len(CHANNELS)
+# The most float64 values a numpy array holds; checks count sizes against it.
+MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 SERIES_HEADER = ("timestamp", "basin_id", "precip", "level")
 
@@ -642,12 +644,16 @@ class SynthConfig:
         problems = []
         if self.branching < 1 or self.height < 1:
             problems.append("branching and height must be >= 1")
+        elif self.n_steps * _basin_count(self.branching, self.height) * D_X > MAX_FLOATS:
+            problems.append("the series, n_steps steps of every basin, holds more values than a numpy array can")
         if self.n_steps < 1:
             problems.append("n_steps must be >= 1")
         if not (0.0 < self.kernel_scale[0] <= self.kernel_scale[1]):
             problems.append("kernel_scale must satisfy 0 < lo <= hi")
-        if not (1 <= self.delay[0] <= self.delay[1]):
-            problems.append("delay must satisfy 1 <= lo <= hi")
+        elif 4 * self.kernel_scale[1] >= MAX_FLOATS:
+            problems.append("kernel_scale is so large that its kernel holds more values than a numpy array can")
+        if not (1 <= self.delay[0] <= self.delay[1] <= np.iinfo(np.int64).max):
+            problems.append("delay must satisfy 1 <= lo <= hi < 2**63")
         if not (0.0 < self.attenuation[0] <= self.attenuation[1] <= 1.0):
             problems.append("attenuation must lie in (0, 1]")
         if not (0.0 <= self.burst_rate <= 1.0):
@@ -697,12 +703,20 @@ def route_levels(
     return levels
 
 
+def _basin_count(branching: int, height: int) -> int:
+    """Basins of a balanced tree; past 64 levels, which already hold more
+    basins than any array, a branching tree counts as 64 levels high."""
+    if branching == 1:
+        return height
+    return (branching ** min(height, 64) - 1) // (branching - 1)
+
+
 def _balanced_tree(branching: int, height: int) -> RegionGraph:
     """Heap-indexed balanced inverted tree; index 0 is the drain and ids
     zero-padded so lexicographic order equals index order."""
     from .region import Basin
 
-    n = sum(branching**k for k in range(height))
+    n = _basin_count(branching, height)
     width = len(str(n - 1)) if n > 1 else 1
     ids = [f"b{str(i).zfill(width)}" for i in range(n)]
     basins = tuple(Basin(id=bid, name=f"basin {i}") for i, bid in enumerate(ids))

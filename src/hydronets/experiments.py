@@ -17,15 +17,16 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .codec import from_doc, parse_json, read_input
+from .codec import from_doc, parse_json, read_input, to_doc
 from .data import (
+    D_X,
     ExampleSet,
     NormStats,
     SeriesStore,
@@ -68,6 +69,8 @@ class ExperimentConfig:
 
     def check(self) -> None:
         self.dims.check()
+        if self.dims.channels != D_X:
+            raise HydroNetsError("invalid-config", f"dims.channels must be {D_X}: every series has {D_X} channels")
         self.train.check()
         if not self.seeds or min(self.seeds) < 0:
             raise HydroNetsError("invalid-config", "need at least one seed, all >= 0")
@@ -110,11 +113,11 @@ class ExperimentConfig:
         the run's numbers (so no out_dir, no worker count and no train.seed,
         which ``seeds`` overrides). The runners record the basins and sizes
         they used next to it."""
-        doc = asdict(self)
+        doc = to_doc(self)
         for name in ("out_dir", "workers", "basins", "sizes"):
-            del doc[name]
+            doc.pop(name, None)
         del doc["train"]["seed"]
-        return {name: value for name, value in doc.items() if value is not None}
+        return doc
 
 
 # --- report tables --------------------------------------------------------------

@@ -41,13 +41,13 @@ import itertools
 import json
 import math
 import types
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import CHECKPOINT, from_doc, parse_json
-from .data import Example, ExampleSet
+from .codec import CHECKPOINT, from_doc, parse_json, to_doc
+from .data import MAX_FLOATS, Example, ExampleSet
 from .errors import HydroNetsError
 from .region import RegionGraph, prune_to_depth
 
@@ -375,6 +375,8 @@ def _plan(g: RegionGraph, dims: Dims) -> _Plan:
     shapes = {"shared_w": (k, d_x + k), "shared_b": (k,), "combiner_w": (k, ends[-1] * k),
               "combiner_b": (len(combined), k), "head_w": (n, t * k), "head_b": (n,)}
     offsets = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
+    if offsets[-1] > MAX_FLOATS:
+        raise HydroNetsError("invalid-config", f"{dims} give more weights than a numpy array holds")
     fields = tuple((name, slice(a, b), shape) for (name, shape), a, b in zip(shapes.items(), offsets, offsets[1:]))
     place: dict = {("shared_w", None): ..., ("shared_b", None): ...}
     for m, bid in enumerate(combined):
@@ -500,37 +502,8 @@ def graph_fingerprint(g: RegionGraph) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
-    """Serialize parameters to JSON text; floats round-trip bit-exactly."""
-    if isinstance(p, FlatLinearParams):
-        doc = {
-            "kind": "linear",
-            "dims": asdict(p.dims),
-            "target": p.target,
-            "included": list(p.included),
-            "weights": p.weights.tolist(),
-            "bias": p.bias,
-        }
-    else:
-        blocks = layout(p.graph, p.dims)
-
-        def by_basin(field: str) -> dict:
-            return {bid: {"w": p.block(f"{field}_w", bid).tolist(), "b": p.block(f"{field}_b", bid).tolist()}
-                    for name, bid, _ in blocks if name == f"{field}_w"}
-
-        doc = {
-            "kind": "hydronets",
-            "dims": asdict(p.dims),
-            "graph_fingerprint": graph_fingerprint(p.graph),
-            "shared_w": p.shared_w.tolist(),
-            "shared_b": p.shared_b.tolist(),
-            "combiners": by_basin("combiner"),
-            "heads": by_basin("head"),
-        }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-# The checkpoint file's schemas, one per model kind, read through from_doc.
+# The checkpoint file's schemas, one per model kind: save_checkpoint writes
+# them through to_doc and load_checkpoint reads them through from_doc.
 @dataclass(frozen=True)
 class _Linear:
     kind: str
@@ -562,6 +535,23 @@ class _Tree:
     shared_b: tuple[float, ...]
     combiners: dict[str, _Combiner]
     heads: dict[str, _Head]
+
+
+def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
+    """Checkpoint text of ``p``: its kind's schema, blocks by basin in
+    :func:`layout` order, through :func:`~hydronets.codec.to_doc`; floats
+    round-trip bit-exactly."""
+    if isinstance(p, FlatLinearParams):
+        ck = _Linear("linear", p.dims, p.target, p.included, p.weights.tolist(), p.bias)
+    else:
+        blocks = layout(p.graph, p.dims)
+        combiners = {bid: _Combiner(p.block(field, bid).tolist(), p.block("combiner_b", bid).tolist())
+                     for field, bid, _ in blocks if field == "combiner_w"}
+        heads = {bid: _Head(p.block(field, bid).tolist(), p.block("head_b", bid).item())
+                 for field, bid, _ in blocks if field == "head_w"}
+        ck = _Tree("hydronets", p.dims, graph_fingerprint(p.graph), p.shared_w.tolist(),
+                   p.shared_b.tolist(), combiners, heads)
+    return json.dumps(to_doc(ck), indent=2) + "\n"
 
 
 def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams | FlatLinearParams:

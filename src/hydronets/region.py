@@ -1,7 +1,8 @@
 """Basin connectivity graphs: parsing, validation, and tree surgery.
 
-:class:`Basin` and :class:`RegionGraph` are the region file's schema,
-which :func:`parse_region` reads through :mod:`~hydronets.codec`.
+:class:`Basin` and :class:`RegionGraph` are the region file's schema:
+:func:`parse_region` reads it and :func:`dump_region` writes it through
+:mod:`~hydronets.codec`.
 
 A region is an inverted tree of basins: every basin drains into at most one
 downstream basin, and exactly one basin (the drain) has no outlet. The graph
@@ -23,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .codec import REGION, from_doc, parse_json
+from .codec import REGION, from_doc, parse_json, to_doc
 from .errors import HydroNetsError
 
 
@@ -127,15 +128,9 @@ def parse_region(text: str) -> RegionGraph:
 
 
 def dump_region(g: RegionGraph) -> str:
-    """Serialize a region graph back to the region file format."""
-    basins = []
-    for b in g.basins:
-        entry: dict = {"id": b.id, "name": b.name}
-        if b.static is not None:
-            entry["static"] = list(b.static)
-        basins.append(entry)
-    doc = {"basins": basins, "edges": [list(e) for e in g.edges]}
-    return json.dumps(doc, indent=2) + "\n"
+    """Region file text of ``g``, which :func:`parse_region` reads back
+    to an equal graph; a basin without ``static`` features has no key."""
+    return json.dumps(to_doc(g), indent=2) + "\n"
 
 
 def validate(g: RegionGraph) -> ValidationReport:

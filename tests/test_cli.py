@@ -76,6 +76,21 @@ BAD_CONFIGS = [
     {"train": {"eps": 0.0}},
     {"synth": {**SYNTH, "noise_std": float("nan")}},
     {"synth": {**SYNTH, "delay": [1]}},
+    # Every series has two channels.
+    {"dims": {**DIMS, "channels": 1}},
+    {"dims": {**DIMS, "channels": 3}},
+    # Sizes beyond the largest numpy array fail before anything of that
+    # size is allocated: the parameter vector (the second embedding's
+    # shared map alone would fit), the series grid, a runoff kernel, and
+    # a delay drawn as an int64.
+    {"dims": {**DIMS, "channels": 10**30}},
+    {"dims": {**DIMS, "embedding": 10**30}},
+    {"dims": {**DIMS, "embedding": 800_000_000}},
+    {"synth": {**SYNTH, "n_steps": 10**30}},
+    {"synth": {**SYNTH, "height": 10**30}},
+    {"synth": {**SYNTH, "branching": 1, "height": 10**30}},
+    {"synth": {**SYNTH, "kernel_scale": [2.0, 1e300]}},
+    {"synth": {**SYNTH, "delay": [1, 2**63]}},
 ]
 
 
@@ -142,7 +157,8 @@ class TestGenSynth:
     def test_bad_config_exits_two(self, tmp_path, capsys):
         texts = ["{broken", "[1]", "1" * 5000] + [
             json.dumps({**asdict(SynthConfig(n_steps=50)), **edit})
-            for edit in ({"branching": "2"}, {"delay": [1]}, {"noise_std": float("nan")}, {"bogus": 1})
+            for edit in ({"branching": "2"}, {"delay": [1]}, {"noise_std": float("nan")}, {"bogus": 1},
+                         {"n_steps": 10**30}, {"height": 10**30}, {"kernel_scale": [2.0, 1.7e308]})
         ]
         for i, text in enumerate(texts):
             f = tmp_path / f"synth{i}.json"
@@ -152,6 +168,13 @@ class TestGenSynth:
             assert "invalid-config" in err and "Traceback" not in err
         assert main(["gen-synth", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         assert "invalid-config" in capsys.readouterr().err
+
+    def test_written_config_reproduces_every_file(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["gen-synth", "--out", str(first), "--seed", "7"]) == 0
+        assert main(["gen-synth", "--config", str(first / "synth.json"), "--out", str(second)]) == 0
+        for name in ("region.json", "series.csv", "synth.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_config_file(self, tmp_path):
         cfg = SynthConfig(branching=1, height=3, n_steps=50, burst_rate=0.0)

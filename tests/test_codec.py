@@ -1,17 +1,20 @@
-"""The JSON reader: round trips, dict fields, each file kind's codes, and
-fuzzed config documents."""
+"""The JSON reader and writer: round trips, dict fields, each file kind's
+codes, fuzzed config documents, and the one writer."""
 
+import ast
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hydronets
 from hydronets import model
-from hydronets.codec import CHECKPOINT, CONFIG, REGION, from_doc
+from hydronets.codec import CHECKPOINT, CONFIG, REGION, from_doc, to_doc
 from hydronets.data import SynthConfig
 from hydronets.errors import HydroNetsError
 from hydronets.experiments import ExperimentConfig
@@ -50,10 +53,15 @@ CHECKPOINTS = [
 
 
 @pytest.mark.parametrize(
-    "cfg", [FROM_SYNTH.dims, FROM_SYNTH.train, FROM_SYNTH, FROM_FILES, REGION_GRAPH, *CHECKPOINTS]
+    "cfg", [FROM_SYNTH.dims, FROM_SYNTH.train, FROM_SYNTH, FROM_FILES, REGION_GRAPH, *CHECKPOINTS,
+            REGION_GRAPH.basins[1]],
 )
 def test_round_trip(cfg):
-    assert from_doc(type(cfg), json.loads(json.dumps(asdict(cfg)))) == cfg
+    doc = to_doc(cfg)
+    assert from_doc(type(cfg), json.loads(json.dumps(doc))) == cfg
+    # A None field has no key: FROM_FILES has no synth, basins or sizes, a
+    # basin without static features no static, at the top and nested.
+    assert "null" not in json.dumps(doc)
 
 
 def test_integer_for_float_is_stored_as_float():
@@ -127,7 +135,7 @@ def test_each_file_kind_has_its_codes(codes):
 
 def _doc(cfg):
     """``cfg`` as a config file would give it: no nulls and no train.seed."""
-    doc = {k: v for k, v in asdict(cfg).items() if v is not None}
+    doc = to_doc(cfg)
     doc.get("train", {}).pop("seed", None)
     return doc
 
@@ -210,3 +218,22 @@ def test_mutated_documents_load_or_fail_with_invalid_config(case):
         _load(*case)
     except HydroNetsError as e:
         assert e.code == "invalid-config", e
+
+
+PACKAGE = Path(hydronets.__file__).parent
+
+
+def _uses_asdict(module: Path) -> bool:
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "asdict" for alias in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "asdict":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_the_codec_writes_documents(module):
+    # Each file kind's keys are stated once, in its schema: a document
+    # written from a dataclass goes through to_doc, the one user of asdict.
+    assert _uses_asdict(PACKAGE / module) == (module == "codec.py")

@@ -410,19 +410,43 @@ class TestParamStore:
             np.testing.assert_array_equal(p.vector, before)
 
 
+def checkpoint_cases():
+    """A tree, dims and a seed; every weight, biases too, is drawn
+    non-zero with full float precision."""
+    return st.tuples(
+        st.one_of(random_trees(max_basins=12), chains(), st.just(tree_from_parents([]))),
+        st.builds(Dims, st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+def perturbed(p, seed):
+    return p.unpack(p.pack() + np.random.default_rng(seed).standard_normal(param_count(p)))
+
+
 class TestCheckpoints:
-    def test_hydronet_round_trip_bit_exact(self, fork_graph):
-        p = init_hydronet(fork_graph, Dims(window=3, embedding=2, horizon=2), 8)
+    @settings(max_examples=40, deadline=None)
+    @given(checkpoint_cases())
+    def test_hydronet_round_trip_bit_exact(self, case):
+        g, dims, seed = case
+        p = perturbed(init_hydronet(g, dims, seed), seed)
         text = save_checkpoint(p)
-        q = load_checkpoint(text, fork_graph)
+        q = load_checkpoint(text, g)
         assert np.array_equal(p.pack(), q.pack())
         assert q.dims == p.dims
+        assert save_checkpoint(q) == text
 
-    def test_flat_round_trip(self, fork_graph):
-        p = init_flat(fork_graph, "b4", 2, Dims(window=3, embedding=1, horizon=2), 8)
-        q = load_checkpoint(save_checkpoint(p))
+    @settings(max_examples=40, deadline=None)
+    @given(checkpoint_cases(), st.data())
+    def test_flat_round_trip(self, case, data):
+        g, dims, seed = case
+        target, depth = data.draw(st.sampled_from(g.basin_ids)), data.draw(st.integers(1, 3))
+        p = perturbed(init_flat(g, target, depth, dims, seed), seed)
+        text = save_checkpoint(p)
+        q = load_checkpoint(text)
         assert np.array_equal(p.pack(), q.pack())
-        assert q.included == p.included and q.target == p.target
+        assert q.included == p.included and q.target == p.target and q.dims == p.dims
+        assert save_checkpoint(q) == text
 
     def test_graph_mismatch(self, fork_graph, chain2):
         p = init_hydronet(fork_graph, Dims(window=2, embedding=1, horizon=1), 0)

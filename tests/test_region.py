@@ -87,6 +87,36 @@ class TestParse:
 
     def test_round_trip(self, fork_graph):
         assert parse_region(dump_region(fork_graph)) == fork_graph
+        # The text a region file is written as reads back and writes out
+        # unchanged: static features where a basin has them, no key where
+        # it has none, and an id that JSON escapes.
+        text = r'''{
+  "basins": [
+    {
+      "id": "up \"north\" \\ \u00e9",
+      "name": "upper",
+      "static": [
+        0.5,
+        -2.0,
+        1e-300
+      ]
+    },
+    {
+      "id": "drain",
+      "name": "outlet"
+    }
+  ],
+  "edges": [
+    [
+      "up \"north\" \\ \u00e9",
+      "drain"
+    ]
+  ]
+}
+'''
+        g = parse_region(text)
+        assert g.basin_ids == ('up "north" \\ \u00e9', "drain") and g.basins[0].static == (0.5, -2.0, 1e-300)
+        assert dump_region(g) == text
 
 
 class TestValidate:
