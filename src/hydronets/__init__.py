@@ -59,12 +59,14 @@ from .region import (
 )
 from .training import (
     LossWeights,
+    Member,
     TrainConfig,
     TrainResult,
     backward_hydronet,
     finite_difference_grad,
     train,
     train_flat,
+    train_stack,
     weighted_mse_loss,
 )
 

@@ -27,7 +27,7 @@ import functools
 import json
 import sys
 import types
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -81,10 +81,18 @@ def from_doc(cls: type, doc: Any, path: str = "", codes: tuple[str, str] = CONFI
     return cls(**{name: _value(hints[name], v, prefix + name, codes) for name, v in doc.items()})
 
 
-def to_doc(obj: Any) -> dict:
+def to_doc(obj: Any) -> Any:
     """Dataclass ``obj`` as a JSON document, fields in declaration order;
-    a field that is ``None``, at any depth, is left out."""
-    return asdict(obj, dict_factory=lambda items: {name: v for name, v in items if v is not None})
+    a field that is ``None``, at any depth, is left out. Dataclasses and
+    dicts become new dicts, and arrays of them new arrays; an array of
+    plain values, such as a checkpoint's weights, goes in as it is."""
+    if is_dataclass(obj):
+        return {f.name: to_doc(v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+    if isinstance(obj, dict):
+        return {key: to_doc(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)) and obj and (is_dataclass(obj[0]) or isinstance(obj[0], (dict, list, tuple))):
+        return type(obj)(map(to_doc, obj))
+    return obj
 
 
 def _value(tp: Any, v: Any, path: str, codes: tuple[str, str]) -> Any:

@@ -5,11 +5,13 @@ Three runners cover the questions the model family is built for: how much
 upstream graph depth helps prediction at the drain, how the tree model
 compares with the flat baseline across all basins of a region, and how
 that comparison shifts when training data is scarce. Each runner lists
-its grid as jobs, one per cell and seed, and each job returns its own
-per-seed rows; one helper runs the jobs, serially or on a thread pool,
-and reduces the rows in job order. Each run writes its aggregated table,
-the per-seed values behind it, and a manifest pinning the config and
-input hashes, so a re-run reproduces every artifact byte-for-byte.
+its grid as cells, one model at one seed, each with the example set it
+trains on and the basins it is scored at. One helper trains every
+set's cells as one stack (:func:`~hydronets.training.train_stack`),
+stacks serially or on a thread pool, and reduces the rows in cell order.
+Each run writes its aggregated table, the per-seed values behind it, and
+a manifest pinning the config and input hashes, so a re-run reproduces
+every artifact byte-for-byte.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -38,9 +38,9 @@ from .data import (
 )
 from .errors import HydroNetsError
 from .metrics import evaluate
-from .model import Dims, init_flat, init_hydronet
+from .model import Dims, FlatLinearParams, init_flat, init_hydronet
 from .region import RegionGraph, drain_of, dump_region, height, parse_region, prune_to_depth
-from .training import LossWeights, TrainConfig, train, train_flat
+from .training import LossWeights, Member, TrainConfig, TrainResult, train_stack
 
 MODEL_KINDS = ("linear", "hydronets")
 METRICS = ("r2", "r2_persist")
@@ -236,52 +236,79 @@ def _basins(cfg: ExperimentConfig, g: RegionGraph) -> tuple[str, ...]:
 Data = tuple[ExampleSet, ExampleSet, NormStats]    # train set, test set, norm stats
 
 
-def _run_grid(jobs: list[Callable[[], list[SeedRow]]], workers: int) -> ReportTable:
-    """Run the jobs, on a thread pool when ``workers`` > 1, and aggregate
-    their seed rows. Rows come back in job order either way, so the
-    reduction cannot depend on scheduling."""
-    if workers <= 1:
-        results = [job() for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: job(), jobs))
-    return _aggregate([row for rows in results for row in rows])
+@dataclass(frozen=True)
+class _Cell:
+    """One model of a grid at one seed: trained in the stack of the
+    example set its report ``key`` names, and scored at ``basins``."""
+
+    key: str
+    basins: tuple[str, ...]
+    member: Member
 
 
-def _flat_rows(
-    cfg: ExperimentConfig, g: RegionGraph, target: str, depth: int, key: str, data: Data, seed: int
-) -> list[SeedRow]:
+def _flat(cfg: ExperimentConfig, g: RegionGraph, target: str, depth: int, key: str, seed: int) -> _Cell:
     """Flat baseline on ``target``'s depth-limited subtree, scored there."""
-    train_set, test_set, stats = data
-    fp = init_flat(g, target, depth, cfg.dims, seed)
-    fp = train_flat(fp, train_set, replace(cfg.train, seed=seed)).params
-    score = evaluate(fp, test_set, stats).by_basin()[target]
-    return [SeedRow(key, target, "linear", seed, getattr(score, cfg.metric))]
+    return _Cell(key, (target,), Member(init_flat(g, target, depth, cfg.dims, seed), seed))
 
 
-def _tree_rows(
-    cfg: ExperimentConfig, g: RegionGraph, w: LossWeights | None, basins: tuple[str, ...],
-    key: str, data: Data, seed: int,
-) -> list[SeedRow]:
+def _tree(
+    cfg: ExperimentConfig, g: RegionGraph, w: LossWeights | None, basins: tuple[str, ...], key: str, seed: int
+) -> _Cell:
     """Tree model on all of ``g`` under loss weights ``w``, scored at each
     of ``basins``."""
-    train_set, test_set, stats = data
-    hp = init_hydronet(g, cfg.dims, seed)
-    hp = train(hp, train_set, replace(cfg.train, seed=seed), w).params
-    scores = evaluate(hp, test_set, stats).by_basin()
-    return [SeedRow(key, bid, "hydronets", seed, getattr(scores[bid], cfg.metric)) for bid in basins]
+    return _Cell(key, basins, Member(init_hydronet(g, cfg.dims, seed), seed, w))
 
 
-def _pair_rows(
-    cfg: ExperimentConfig, g: RegionGraph, target: str, flat_depth: int, key: str, data: Data, seed: int
-) -> list[SeedRow]:
+def _pair(cfg: ExperimentConfig, g: RegionGraph, target: str, flat_depth: int, key: str, seed: int) -> list[_Cell]:
     """Both model kinds at ``target``: the flat baseline, then the tree
     model with its loss focused there."""
     w = LossWeights.focused(g.basin_ids, target, cfg.alpha)
-    return (
-        _flat_rows(cfg, g, target, flat_depth, key, data, seed)
-        + _tree_rows(cfg, g, w, (target,), key, data, seed)
-    )
+    return [_flat(cfg, g, target, flat_depth, key, seed), _tree(cfg, g, w, (target,), key, seed)]
+
+
+def _run_grid(cfg: ExperimentConfig, cells: list[_Cell], data: dict[str, Data]) -> ReportTable:
+    """Train the cells, one stack per example set, and aggregate their seed
+    rows. Stacks run on a thread pool when ``cfg.workers`` > 1; which cells
+    stack together depends on the config alone. Rows, and the error of a
+    model that diverged or scored outside the float range, come back in
+    cell order either way, so the reduction cannot depend on scheduling."""
+    stacks: dict[str, list[int]] = {}
+    for i, cell in enumerate(cells):
+        stacks.setdefault(cell.key, []).append(i)
+
+    def run(key: str) -> list[tuple[int, list[SeedRow] | HydroNetsError]]:
+        train_set, test_set, stats = data[key]
+        index = stacks[key]
+        results = train_stack([cells[i].member for i in index], train_set, cfg.train)
+        return [(i, _rows(cfg, cells[i], result, test_set, stats)) for i, result in zip(index, results)]
+
+    if cfg.workers <= 1:
+        done = [run(key) for key in stacks]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            done = list(pool.map(run, stacks))
+    by_cell = dict(pair for part in done for pair in part)
+    seed_rows = []
+    for i in range(len(cells)):
+        if isinstance(by_cell[i], HydroNetsError):
+            raise by_cell[i]
+        seed_rows += by_cell[i]
+    return _aggregate(seed_rows)
+
+
+def _rows(
+    cfg: ExperimentConfig, cell: _Cell, result: TrainResult | HydroNetsError, test_set: ExampleSet, stats: NormStats
+) -> list[SeedRow] | HydroNetsError:
+    """The cell's seed rows, from its trained model's scores at its basins,
+    or the error that training or scoring ended in."""
+    if isinstance(result, HydroNetsError):
+        return result
+    kind = "linear" if isinstance(result.params, FlatLinearParams) else "hydronets"
+    try:
+        scores = evaluate(result.params, test_set, stats).by_basin()
+    except HydroNetsError as e:
+        return e
+    return [SeedRow(cell.key, bid, kind, cell.member.seed, getattr(scores[bid], cfg.metric)) for bid in cell.basins]
 
 
 def _write_run(
@@ -320,12 +347,12 @@ def run_depth_experiment(cfg: ExperimentConfig) -> ReportTable:
     drain = drain_of(g)
     depths = range(1, height(g) + 1)
 
-    jobs = []
+    cells, data = [], {}
     for d in depths:
-        sub = prune_to_depth(g, drain, d)
-        data = prepare_datasets(store, sub, cfg.dims.window, cfg.dims.horizon, cfg.train_frac)
-        jobs += [partial(_pair_rows, cfg, sub, drain, d, f"depth={d}", data, seed) for seed in cfg.seeds]
-    table = _run_grid(jobs, cfg.workers)
+        sub, key = prune_to_depth(g, drain, d), f"depth={d}"
+        data[key] = prepare_datasets(store, sub, cfg.dims.window, cfg.dims.horizon, cfg.train_frac)
+        cells += [cell for seed in cfg.seeds for cell in _pair(cfg, sub, drain, d, key, seed)]
+    table = _run_grid(cfg, cells, data)
     _write_run(cfg.out_dir, "depth", cfg, table, hashes)
     return table
 
@@ -371,12 +398,10 @@ def run_all_basins(cfg: ExperimentConfig) -> tuple[ReportTable, tuple[Comparison
     g, store, hashes = load_inputs(cfg)
     targets = _basins(cfg, g)
 
-    data = prepare_datasets(store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac)
-    table = _run_grid(
-        [partial(_pair_rows, cfg, g, t, cfg.flat_depth, "all-basins", data, seed)
-         for t in targets for seed in cfg.seeds],
-        cfg.workers,
-    )
+    data = {"all-basins": prepare_datasets(store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac)}
+    cells = [cell for t in targets for seed in cfg.seeds
+             for cell in _pair(cfg, g, t, cfg.flat_depth, "all-basins", seed)]
+    table = _run_grid(cfg, cells, data)
 
     by_key = {(r.basin, r.model): r.mean for r in table.rows}
     comparison = tuple(
@@ -418,16 +443,13 @@ def run_scarcity(cfg: ExperimentConfig) -> ReportTable:
         raise HydroNetsError(
             "invalid-config", f"largest training size {max(counts)} exceeds the {n} available"
         )
-    data = {c: (train_full.subset(np.arange(n - c, n)), test_set, stats) for c in counts}
-    jobs = [
-        partial(_tree_rows, cfg, g, None, basins, f"train={c}", data[c], seed)
-        for c in counts for seed in cfg.seeds
-    ]
-    jobs += [
-        partial(_flat_rows, cfg, g, bid, cfg.flat_depth, f"train={c}", data[c], seed)
+    data = {f"train={c}": (train_full.subset(np.arange(n - c, n)), test_set, stats) for c in counts}
+    cells = [_tree(cfg, g, None, basins, f"train={c}", seed) for c in counts for seed in cfg.seeds]
+    cells += [
+        _flat(cfg, g, bid, cfg.flat_depth, f"train={c}", seed)
         for c in counts for bid in basins for seed in cfg.seeds
     ]
-    table = _run_grid(jobs, cfg.workers)
+    table = _run_grid(cfg, cells, data)
     _write_run(
         cfg.out_dir, "scarcity", cfg, table, hashes,
         extra_echo={"sizes": list(counts), "basins": list(basins)},

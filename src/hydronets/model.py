@@ -12,6 +12,9 @@ The tree model's weights live in one vector (:class:`HydroNetParams`)
 whose views the level sweep reads in place. A plan, built once per model
 and kept on its parameters, fixes both the levels and where each weight
 sits in the vector; every parameter set unpacked from them shares it.
+A vector with leading axes holds a stack of trees on one graph, as
+training builds it: every view, :func:`forward_batch` and :func:`fold`
+then carry those axes, and run all the trees at once.
 
 :func:`forward_batch` evaluates that structure at every step of every
 window, one tree level at a time (a source is level 0, any other basin
@@ -105,12 +108,15 @@ class HydroNetParams:
       ``basin_ids`` order, each head flattening the (T, K) embedding
       row-major.
 
-    :meth:`block` is the view of one :func:`layout` block. ``plan`` is
-    the graph's :class:`_Plan` at ``dims``, built when the parameters are
-    made and shared by all that :meth:`unpack` wraps; a copy or a pickle
-    holds a copy of the vector and builds its own. The fields cannot be
-    rebound, since a new array would not be part of the vector: write
-    through ``[...]`` instead.
+    ``vector`` may have leading model axes, a stack of trees; every field
+    then has them too, and only :func:`forward_batch`, :func:`fold` and
+    the reverse sweep read such parameters. :meth:`block` is the view of
+    one :func:`layout` block of a single model. ``plan`` is the graph's
+    :class:`_Plan` at ``dims``, built when the parameters are made and
+    shared by all that :meth:`unpack` wraps; a copy or a pickle holds a
+    copy of the vector and builds its own. The fields cannot be rebound,
+    since a new array would not be part of the vector: write through
+    ``[...]`` instead.
     """
 
     def __init__(self, graph: RegionGraph, dims: Dims, shared_w, shared_b, combiner_w: Mapping,
@@ -144,7 +150,8 @@ class HydroNetParams:
         plan of the graph at ``dims``; the sizes must agree."""
         plan = plan or _plan(graph, dims)
         p = object.__new__(cls)
-        views = {name: vector[s].reshape(shape) for name, s, shape in plan.fields}
+        lead = vector.shape[:-1]
+        views = {name: vector[..., s].reshape(lead + shape) for name, s, shape in plan.fields}
         p.__dict__.update(graph=graph, dims=dims, plan=plan, vector=vector, **views)
         return p
 
@@ -269,30 +276,36 @@ def forward_batch(
     """Evaluate the tree on a batch: ``features[basin]`` is (B, T, d_x).
 
     Returns (combined, embeddings, preds) keyed by basin in topological
-    order, shapes (B, T, K), (B, T, K), (B,). The values are views of
-    arrays over all basins, which the tree fills one level at a time.
+    order, shapes (..., B, T, K), (..., B, T, K), (..., B), where ``...``
+    are the leading model axes of ``p.vector``: a stack of trees on one
+    graph runs through every call at once. The values are views of arrays
+    over all basins, which the tree fills one level at a time.
     """
     ids = p.graph.basin_ids
     batch = check_features(ids, p.dims, features)
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
-    plan = p.plan
+    plan, lead = p.plan, p.vector.shape[:-1]
     # One row per step of every window. Embeddings start as the shared
     # map of the features alone; row n is the zero padding source.
     rows = batch * t
     x = np.concatenate([features[bid] for bid in ids]).reshape(n, rows, d_x)
-    e = np.zeros((n + 1, rows, k))
-    e[:n] = x @ p.shared_w[:, :d_x].T + p.shared_b
-    c = np.zeros((n, rows, k))
-    w_c, w_sc = p.combiner_w.reshape(k, -1, k).transpose(1, 2, 0), p.shared_w[:, d_x:].T
+    e = np.zeros(lead + (n + 1, rows, k))
+    e[..., :n, :, :] = x @ p.shared_w[..., None, :, :d_x].swapaxes(-1, -2) + p.shared_b[..., None, None, :]
+    c = np.zeros(lead + (n, rows, k))
+    w_c = p.combiner_w.reshape(lead + (k, -1, k)).swapaxes(-3, -2).swapaxes(-2, -1)  # (..., edges, K, K)
+    w_sc = p.shared_w[..., None, :, d_x:].swapaxes(-1, -2)
     for lv in plan.levels:
-        flow = e[lv.sources] @ w_c[lv.edges]                             # (basins * width, rows, K)
-        c_lv = flow.reshape(len(lv.basins), lv.width, rows, k).sum(axis=1) + p.combiner_b[lv.combiners, None]
-        c[lv.basins] = c_lv
-        e[lv.basins] += c_lv @ w_sc
-    preds = (e[:n].reshape(n, batch, t * k) @ p.head_w[:, :, None])[:, :, 0] + p.head_b[:, None]
-    c, e = c.reshape(n, batch, t, k), e[:n].reshape(n, batch, t, k)
+        flow = e[..., lv.sources, :, :] @ w_c[..., lv.edges, :, :]      # (..., basins * width, rows, K)
+        c_lv = flow.reshape(lead + (len(lv.basins), lv.width, rows, k)).sum(axis=-3)
+        c_lv += p.combiner_b[..., lv.combiners, None, :]
+        c[..., lv.basins, :, :] = c_lv
+        e[..., lv.basins, :, :] += c_lv @ w_sc
+    e = e[..., :n, :, :].reshape(lead + (n, batch, t * k))
+    preds = (e @ p.head_w[..., :, :, None])[..., 0] + p.head_b[..., :, None]
+    c, e = c.reshape(lead + (n, batch, t, k)), e.reshape(lead + (n, batch, t, k))
     order = plan.topo_rows
-    return ({b: c[m] for b, m in order}, {b: e[m] for b, m in order}, {b: preds[m] for b, m in order})
+    return ({b: c[..., m, :, :, :] for b, m in order}, {b: e[..., m, :, :, :] for b, m in order},
+            {b: preds[..., m, :] for b, m in order})
 
 
 @dataclass(frozen=True)
@@ -448,20 +461,22 @@ class TreeFilters(Filters):
 
 def fold(p: HydroNetParams, embeddings: Mapping[str, np.ndarray]) -> TreeFilters:
     """Per-basin filters from the embeddings :func:`forward_batch` gives
-    on ``p.plan.probe``. Exact, because every sub-model is affine."""
+    on ``p.plan.probe``. Exact, because every sub-model is affine. Every
+    array of the filters has ``p.vector``'s leading model axes in front."""
     ids = p.graph.basin_ids
     n, t, k, d_x = len(ids), p.dims.window, p.dims.embedding, p.dims.channels
-    e = np.concatenate([embeddings[bid] for bid in ids]).reshape(n, -1, k)  # (n, slots, K)
-    zero = e[:, 0]
+    lead = p.vector.shape[:-1]
+    e = np.concatenate([embeddings[bid] for bid in ids], axis=-3).reshape(lead + (n, -1, k))  # (..., n, slots, K)
+    zero = e[..., 0, :]
     inside = p.plan.inside
-    response = np.where(inside, e[:, 1 : 1 + n * d_x] - zero[:, None], 0.0)
-    heads = p.head_w.reshape(n, t, k)
+    response = np.where(inside, e[..., 1 : 1 + n * d_x, :] - zero[..., None, :], 0.0)
+    heads = p.head_w.reshape(lead + (n, t, k))
     # Written straight into the C-ordered weights the batch matmuls read
     # fastest: a transposed copy cost 2 ms more at 63 basins.
-    weights = np.empty((t, n * d_x, n))
-    np.matmul(heads, response.transpose(0, 2, 1), out=weights.transpose(2, 0, 1))
-    weights = weights.reshape(t * n * d_x, n)
-    bias = np.sum(heads.sum(axis=1) * zero, axis=1) + p.head_b
+    weights = np.empty(lead + (t, n * d_x, n))
+    np.matmul(heads, response.swapaxes(-1, -2), out=weights.swapaxes(-1, -2).swapaxes(-3, -2))
+    weights = weights.reshape(lead + (t * n * d_x, n))
+    bias = np.sum(heads.sum(axis=-2) * zero, axis=-1) + p.head_b
     return TreeFilters(ids, ids, p.dims, weights, bias, zero, response, inside, heads)
 
 

@@ -40,7 +40,7 @@ from hydronets.metrics import evaluate
 from hydronets.model import Dims, init_flat, init_hydronet
 from hydronets.presets import chain_fixture, tree_fixture
 from hydronets.region import Basin, RegionGraph, drain_of, prune_to_depth, validate
-from hydronets.training import TrainConfig, train, train_flat
+from hydronets.training import LossWeights, Member, TrainConfig, train, train_flat, train_stack
 
 from conftest import make_series_text, tree_from_parents
 
@@ -817,6 +817,22 @@ class TestMemory:
                 tracemalloc.stop()
         assert peak < 2.15 * size          # measured 1.9 texts; 2.4 if the text lives on, 3.2 with row sorts
         assert store.n_steps == 1500
+
+    def test_a_stack_holds_one_batch_of_windows_at_a_time(self):
+        # exp-depth's stack at depth 3: two seeds, each a flat model and a
+        # tree. Each seed's batch of windows is gathered and dropped in
+        # turn, and none is alive during the full-set loss. Measured 1.2
+        # times a lone tree's peak; 2.0 with both seeds' windows alive.
+        g, store = generate_synthetic(tree_fixture())
+        dims = Dims(window=24, embedding=4, horizon=2)
+        train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        cfg = TrainConfig(epochs=2, batch_size=256)
+        w = LossWeights.focused(g.basin_ids, drain_of(g), 0.9)
+        members = [member for seed in (0, 1) for member in (
+            Member(init_flat(g, drain_of(g), 3, dims, seed), seed), Member(init_hydronet(g, dims, seed), seed, w))]
+        _, alone = traced_peak(train, init_hydronet(g, dims, 0), train_set, cfg, w)
+        _, stacked = traced_peak(train_stack, members, train_set, cfg)
+        assert stacked <= 1.25 * alone
 
     def test_train_and_evaluate_never_build_the_windows(self):
         g, store = generate_synthetic(SynthConfig(branching=2, height=2, n_steps=120, noise_std=0.1))

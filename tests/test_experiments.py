@@ -46,6 +46,18 @@ def tiny_config(tmp_path, **overrides):
     return ExperimentConfig(**base)
 
 
+def assert_same_at_any_workers(runner, cfg):
+    """Every file ``runner`` writes is the same at 1, 2 and 4 workers:
+    which models stack together depends on the config alone."""
+    outputs = []
+    for workers in (1, 2, 4):
+        out = replace(cfg, workers=workers, out_dir=f"{cfg.out_dir}-{workers}")
+        runner(out)
+        outputs.append({f.name: f.read_bytes() for f in Path(out.out_dir).iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert {"report.csv", "seeds.csv", "manifest.json"} <= set(outputs[0])
+
+
 class TestEmit:
     def test_csv_fixed_width_numbers(self):
         table = ReportTable(rows=(
@@ -202,12 +214,7 @@ class TestDepthRunner:
             assert (Path(cfg_a.out_dir) / name).read_bytes() == (Path(cfg_b.out_dir) / name).read_bytes()
 
     def test_parallel_equals_serial(self, tmp_path):
-        serial = tiny_config(tmp_path, out_dir=str(tmp_path / "serial"), workers=1)
-        parallel = tiny_config(tmp_path, out_dir=str(tmp_path / "parallel"), workers=4)
-        run_depth_experiment(serial)
-        run_depth_experiment(parallel)
-        for name in ("report.csv", "seeds.csv"):
-            assert (Path(serial.out_dir) / name).read_bytes() == (Path(parallel.out_dir) / name).read_bytes()
+        assert_same_at_any_workers(run_depth_experiment, tiny_config(tmp_path))
 
     def test_manifest_has_input_hashes(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -237,6 +244,9 @@ class TestAllBasinsRunner:
     def test_unknown_target(self, tmp_path):
         with pytest.raises(HydroNetsError, match="unknown-basin"):
             run_all_basins(tiny_config(tmp_path, basins=("nope",)))
+
+    def test_parallel_equals_serial(self, tmp_path):
+        assert_same_at_any_workers(run_all_basins, tiny_config(tmp_path))
 
     def test_defaults_to_all_basins(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -290,9 +300,4 @@ class TestScarcityRunner:
             assert (Path(cfg_a.out_dir) / name).read_bytes() == (Path(cfg_b.out_dir) / name).read_bytes()
 
     def test_parallel_equals_serial(self, tmp_path):
-        serial = tiny_config(tmp_path, out_dir=str(tmp_path / "s"), workers=1)
-        parallel = tiny_config(tmp_path, out_dir=str(tmp_path / "p"), workers=3)
-        run_scarcity(replace(serial, sizes=(30, 60), basins=("b0", "b1")))
-        run_scarcity(replace(parallel, sizes=(30, 60), basins=("b0", "b1")))
-        for name in ("report.csv", "seeds.csv"):
-            assert (Path(serial.out_dir) / name).read_bytes() == (Path(parallel.out_dir) / name).read_bytes()
+        assert_same_at_any_workers(run_scarcity, tiny_config(tmp_path, sizes=(30, 60), basins=("b0", "b1")))

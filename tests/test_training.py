@@ -1,16 +1,19 @@
 """Loss, analytic gradients, and the optimization loop."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hydronets.model
+from hydronets import experiments, training
 from hydronets.data import ExampleSet, generate_synthetic, prepare_datasets, SynthConfig
 from hydronets.errors import HydroNetsError
 from hydronets.metrics import evaluate
-from hydronets.region import drain_of
+from hydronets.region import drain_of, prune_to_depth
 from hydronets.model import (
     Dims,
     FlatLinearParams,
@@ -24,11 +27,13 @@ from hydronets.model import (
 )
 from hydronets.training import (
     LossWeights,
+    Member,
     TrainConfig,
     backward_hydronet,
     finite_difference_grad,
     train,
     train_flat,
+    train_stack,
     weighted_mse_loss,
 )
 
@@ -185,44 +190,57 @@ def reference_backward(p, features, labels, w):
     return loss, grad
 
 
+def folding_case(parents, window, embedding, channels, seed, batch, raw=None):
+    """The tree of ``parents`` (:func:`tree_from_parents`) at the dims,
+    parameters with non-zero biases, a batch and its labels, all drawn from
+    ``seed``, and loss weights ``raw`` (one on every basin when None)."""
+    g = tree_from_parents(parents)
+    dims = Dims(window=window, embedding=embedding, horizon=1, channels=channels)
+    rng = np.random.default_rng(seed)
+    p = init_hydronet(g, dims, seed)
+    p = p.unpack(p.pack() + 0.5 * rng.standard_normal(param_count(p)))
+    feats, labels = random_batch(g, dims, rng, batch)
+    return p, feats, labels, LossWeights(raw or dict.fromkeys(g.basin_ids, 1.0)).normalized()
+
+
 @st.composite
 def folding_cases(draw):
     """A random tree, dims, parameters with non-zero biases, a batch, and
     loss weights of which some may be zero."""
-    g = draw(random_trees(max_basins=15))
-    dims = Dims(
-        window=draw(st.integers(1, 29)), embedding=draw(st.integers(1, 5)),
-        horizon=1, channels=draw(st.integers(1, 3)),
-    )
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    p = init_hydronet(g, dims, seed)
-    p = p.unpack(p.pack() + 0.5 * rng.standard_normal(param_count(p)))
-    batch = draw(st.integers(1, 12))
-    feats, labels = random_batch(g, dims, rng, batch)
-    raw = {b: draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for b in g.basin_ids}
-    raw[g.basin_ids[0]] += 1.0
-    return p, feats, labels, LossWeights(raw).normalized()
+    n = draw(st.integers(1, 15))
+    parents = [draw(st.integers(0, i)) for i in range(n - 1)]
+    window, embedding, channels = draw(st.integers(1, 29)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    seed, batch = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12))
+    raw = {f"b{i}": draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for i in range(n)}
+    raw["b0"] += 1.0
+    return folding_case(parents, window, embedding, channels, seed, batch, raw)
 
 
 class TestFold:
     @settings(max_examples=150, deadline=None)
     @given(folding_cases())
+    # Draws whose forecasts near zero missed an absolute 1e-12.
+    @example(folding_case([0, 0, 1, 3, 4, 4, 3, 4, 8, 9, 5, 10, 12, 11], 4, 2, 3, 701540411, 9))
+    @example(folding_case([0, 1, 2, 3, 4, 3, 4, 3, 6, 1, 9, 6, 12, 8], 25, 5, 1, 553558657, 5))
     def test_predict_matches_forward(self, case):
         # Through the filters both ways: on the stacked batch, and lag by
-        # lag on a grid that lays the batch's windows end to end.
+        # lag on a grid that lays the batch's windows end to end. A
+        # forecast's rounding error grows with the sizes of the products it
+        # sums, not with its own size, so each is held to 1e-12 of the sum
+        # of its terms' magnitudes, |weight * input| and |bias|.
         p, feats, _, _ = case
         ids, t, d_x = p.graph.basin_ids, p.dims.window, p.dims.channels
         preds = reference_forward_batch(p, feats)[2]
+        ref = np.stack([preds[bid] for bid in ids], axis=1)
         f = filters(p)
         x = as_batch(ids, p.dims, feats)
         examples = ExampleSet(
             graph=p.graph, window=t, horizon=1, d_x=d_x, anchors=np.arange(len(x)) * t + t - 1,
             grid=x.reshape(-1, len(ids), d_x), labels={}, persist={},
         )
+        scale = np.abs(x.reshape(len(x), -1)) @ np.abs(f.weights) + np.abs(f.bias)
         for folded in (f.apply(x), examples.lagged_dot(slice(None), f.weights) + f.bias):
-            for i, bid in enumerate(ids):
-                assert rel_err(folded[:, i], preds[bid]).max() < 1e-12
+            assert np.all(np.abs(folded - ref) <= 1e-12 * scale)
 
     @settings(max_examples=150, deadline=None)
     @given(folding_cases())
@@ -504,3 +522,141 @@ class TestTrain:
         r1 = train_flat(init_flat(g, "b0", 2, dims, 5), train_set, cfg)
         r2 = train_flat(init_flat(g, "b0", 2, dims, 5), train_set, cfg)
         assert np.array_equal(r1.params.pack(), r2.params.pack())
+
+
+@st.composite
+def stacks(draw):
+    """A stack on a random example set: one to three seeds, each training
+    the same one to four models in the same order, trees (with loss
+    weights drawn per seed) and flat models on drawn targets and depths."""
+    g = draw(random_trees(max_basins=7))
+    dims = Dims(window=draw(st.integers(1, 5)), embedding=draw(st.integers(1, 3)), horizon=1,
+                channels=draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    examples = grid_set(g, dims, rng, dims.window + draw(st.integers(0, 10)))
+    seeds = draw(st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True))
+    flat = st.tuples(st.sampled_from(g.basin_ids), st.integers(1, 4))
+    slots = draw(st.lists(st.one_of(st.just(None), flat), min_size=1, max_size=4))
+    members = []
+    for seed in seeds:
+        for slot in slots:
+            if slot is None:
+                p = init_hydronet(g, dims, seed)
+                p = p.unpack(p.pack() + 0.5 * rng.standard_normal(param_count(p)))
+                raw = {b: draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for b in g.basin_ids}
+                raw[g.basin_ids[0]] += 1.0
+                members.append(Member(p, seed, LossWeights(raw)))
+            else:
+                p = init_flat(g, *slot, dims, seed)
+                p.bias = float(rng.standard_normal())
+                members.append(Member(p, seed))
+    # Seeds interleave in drawn order; each seed keeps its slots' order.
+    by_seed = {seed: iter([m for m in members if m.seed == seed]) for seed in seeds}
+    order = draw(st.permutations([m.seed for m in members]))
+    return [next(by_seed[seed]) for seed in order], examples
+
+
+def first_step(members, examples):
+    """Each member's gradient at the first step of one full-batch epoch,
+    read off the stack's parameter array by where its initial parameters
+    sit there."""
+    seen = []
+    with mock.patch.object(training._Optimizer, "step", lambda self, v, g: seen.append((v.copy(), g.copy()))):
+        train_stack(members, examples, TrainConfig(epochs=1, batch_size=len(examples), optimizer="sgd"))
+    vector, grad = seen[0]
+    grads = []
+    for m in members:
+        v = m.params.pack()
+        for s, o in zip(*np.nonzero(vector == v[0])):
+            if np.array_equal(vector[s, o : o + len(v)], v):
+                grads.append(grad[s, o : o + len(v)])
+                break
+    return grads
+
+
+def reference_flat_gradient(p, features, labels):
+    """The flat model's mean squared error gradient, basin by basin."""
+    x = np.concatenate([features[bid].reshape(len(features[bid]), -1) for bid in p.included], axis=1)
+    err = reference_flat_forecast(p, features) - labels[p.target]
+    return np.append(2.0 * err @ x / len(x), 2.0 * np.mean(err))
+
+
+class TestStack:
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_gradients_match_references(self, case):
+        members, examples = case
+        x = examples.windows(np.arange(len(examples)), slice(None))
+        feats = {bid: x[:, :, m] for m, bid in enumerate(examples.graph.basin_ids)}
+        for m, grad in zip(members, first_step(members, examples), strict=True):
+            if isinstance(m.params, FlatLinearParams):
+                ref = reference_flat_gradient(m.params, feats, examples.labels)
+            else:
+                ref = reference_backward(m.params, feats, examples.labels, m.weights.normalized())[1].pack()
+            assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_matches_separate_runs(self):
+        g, store = generate_synthetic(SynthConfig(branching=2, height=2, n_steps=120, noise_std=0.1))
+        dims = Dims(window=4, embedding=2, horizon=1)
+        train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=16)
+        members = [
+            member for seed in (3, 4) for member in (
+                Member(init_flat(g, "b0", 2, dims, seed), seed),
+                Member(init_hydronet(g, dims, seed), seed, LossWeights.focused(g.basin_ids, "b0")),
+                Member(init_flat(g, "b1", 1, dims, seed), seed),
+                Member(init_hydronet(g, dims, seed + 10), seed),
+            )
+        ]
+
+        def alone(m):
+            cfg_m = replace(cfg, seed=m.seed)
+            if isinstance(m.params, FlatLinearParams):
+                return train_flat(m.params, train_set, cfg_m)
+            return train(m.params, train_set, cfg_m, m.weights)
+
+        for stacked, m in zip(train_stack(members, train_set, cfg), members, strict=True):
+            single = alone(m)
+            assert np.abs(stacked.params.pack() - single.params.pack()).max() <= 1e-12
+            assert np.abs(np.subtract(stacked.history, single.history)).max() <= 1e-12
+        for m in members[:2]:
+            (stacked,) = train_stack([m], train_set, replace(cfg, seed=99))
+            single = alone(m)
+            assert np.array_equal(stacked.params.pack(), single.params.pack())
+            assert stacked.history == single.history
+
+    def test_each_member_diverges_as_alone_and_errors_come_in_member_order(self):
+        g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
+        dims = Dims(window=3, embedding=2, horizon=1)
+        data = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        cfg = TrainConfig(learning_rate=0.5, epochs=5, batch_size=8, optimizer="sgd")
+        late = Member(init_hydronet(g, dims, 0), 0)                        # diverges at epoch 2 alone
+        huge = init_flat(g, "b0", 2, dims, 0)
+        early = Member(huge.unpack(np.full(len(huge.pack()), 1e200)), 0)   # at epoch 0
+        healthy = Member(init_flat(g, g.basin_ids[-1], 1, dims, 0), 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(HydroNetsError, match="diverged") as alone:
+                train(late.params, data[0], cfg)
+            results = train_stack([late, early, healthy], data[0], cfg)
+            assert str(results[0]) == str(alone.value) and "epoch 2" in str(alone.value)
+            assert str(results[1]) == "diverged: loss became non-finite at epoch 0"
+            single = train_flat(healthy.params, data[0], cfg)
+            assert np.abs(results[2].params.pack() - single.params.pack()).max() <= 1e-12
+            # A grid raises the error of its first model in job order.
+            cells = [experiments._Cell("k", (basin,), m)
+                     for basin, m in (("b0", late), ("b0", early), (healthy.params.target, healthy))]
+            grid = experiments.ExperimentConfig(dims=dims, train=cfg, synth=SynthConfig())
+            with pytest.raises(HydroNetsError) as raised:
+                experiments._run_grid(grid, cells, {"k": data})
+            assert str(raised.value) == str(alone.value)
+
+    def test_rejects_unlike_seeds(self):
+        g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
+        dims = Dims(window=3, embedding=2, horizon=1)
+        train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        tree, flat = init_hydronet(g, dims, 0), init_flat(g, "b0", 2, dims, 0)
+        sub = prune_to_depth(g, drain_of(g), 1)
+        for members in ([Member(tree, 0), Member(flat, 1)],
+                        [Member(tree, 0), Member(init_hydronet(sub, dims, 0), 0)]):
+            with pytest.raises(HydroNetsError, match="invalid-config"):
+                train_stack(members, train_set, TrainConfig(epochs=1))
