@@ -11,25 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from .codec import from_doc, parse_json, read_input, to_doc
-from .data import SynthConfig, dump_series, generate_synthetic, load_series, prepare_datasets
+from .config import ExperimentConfig, _reject_unread
+from .data import SeriesStore, SynthConfig, dump_series, generate_synthetic, load_series, prepare_datasets
 from .errors import HydroNetsError
-from .experiments import (
-    ExperimentConfig,
-    _reject_unread,
-    load_inputs,
-    run_all_basins,
-    run_depth_experiment,
-    run_scarcity,
-)
-from .metrics import evaluate
 from .model import init_flat, init_hydronet, load_checkpoint, save_checkpoint
-from .region import drain_of, dump_region, parse_region, validate
-from .training import LossWeights, train, train_flat
+from .region import RegionGraph, drain_of, dump_region, parse_region, validate
+
+# The trainer, the scorer and the experiment runners are imported by the
+# commands that run them, so that each process loads only what it runs.
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -84,10 +77,23 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _load_inputs(cfg: ExperimentConfig) -> tuple[RegionGraph, SeriesStore]:
+    """The config's region graph and series. Both files are read before
+    either is parsed, as the experiment runners read them."""
+    if cfg.synth is not None:
+        return generate_synthetic(cfg.synth)
+    region_text = read_input(cfg.region, "syntax-error")
+    series_text = read_input(cfg.series, "syntax-error")
+    g = parse_region(region_text)
+    return g, load_series(series_text, g)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    from .training import LossWeights, train, train_flat
+
     cfg = _load_config(args)
     _reject_unread(cfg, "train", "basins", "sizes")
-    g, store, _ = load_inputs(cfg)
+    g, store = _load_inputs(cfg)
     train_set, _, _ = prepare_datasets(
         store, g, cfg.dims.window, cfg.dims.horizon, cfg.train_frac
     )
@@ -118,6 +124,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .metrics import evaluate
+
     cfg = _load_config(args)
     _reject_unread(cfg, "evaluate", "basins", "sizes")
     # The checkpoint, and its dims against the config's, are checked before
@@ -145,6 +153,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_exp_depth(args: argparse.Namespace) -> int:
+    from .experiments import run_depth_experiment
+
     cfg = _load_config(args)
     run_depth_experiment(cfg)
     print(f"wrote {Path(cfg.out_dir) / 'report.csv'}")
@@ -152,6 +162,8 @@ def cmd_exp_depth(args: argparse.Namespace) -> int:
 
 
 def cmd_exp_basins(args: argparse.Namespace) -> int:
+    from .experiments import run_all_basins
+
     cfg = _load_config(args)
     run_all_basins(cfg)
     print(f"wrote {Path(cfg.out_dir) / 'report.csv'} and comparison.csv")
@@ -159,6 +171,8 @@ def cmd_exp_basins(args: argparse.Namespace) -> int:
 
 
 def cmd_exp_scarcity(args: argparse.Namespace) -> int:
+    from .experiments import run_scarcity
+
     cfg = _load_config(args)
     run_scarcity(cfg)
     print(f"wrote {Path(cfg.out_dir) / 'report.csv'}")
@@ -230,6 +244,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"output-error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
+        import traceback
+
         traceback.print_exc()
         print(f"internal-error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

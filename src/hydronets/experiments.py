@@ -12,25 +12,27 @@ stacks serially or on a thread pool, and reduces the rows in cell order.
 Each run writes its aggregated table, the per-seed values behind it, and
 a manifest pinning the config and input hashes, so a re-run reproduces
 every artifact byte-for-byte.
+
+The config, :class:`~hydronets.config.ExperimentConfig`, is re-exported
+from :mod:`~hydronets.config`. The inputs are hashed with
+:data:`~hydronets.codec.sha256`, CPython's own SHA-256, and the thread
+pool is imported only by a run on more than one worker.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codec import from_doc, parse_json, read_input, to_doc
+from .codec import read_input, sha256
+from .config import ExperimentConfig, _reject_unread
 from .data import (
-    D_X,
     ExampleSet,
     NormStats,
     SeriesStore,
-    SynthConfig,
     dump_series,
     generate_synthetic,
     load_series,
@@ -38,86 +40,11 @@ from .data import (
 )
 from .errors import HydroNetsError
 from .metrics import evaluate
-from .model import Dims, FlatLinearParams, init_flat, init_hydronet
+from .model import FlatLinearParams, init_flat, init_hydronet
 from .region import RegionGraph, drain_of, dump_region, height, parse_region, prune_to_depth
-from .training import LossWeights, Member, TrainConfig, TrainResult, train_stack
+from .training import LossWeights, Member, TrainResult, train_stack
 
 MODEL_KINDS = ("linear", "hydronets")
-METRICS = ("r2", "r2_persist")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything an experiment run needs. Field names are the JSON keys
-    of a config file; ``basins`` and ``sizes`` are the runners' target
-    basins (all when unset) and training-set sizes."""
-
-    dims: Dims
-    train: TrainConfig = TrainConfig()
-    seeds: tuple[int, ...] = tuple(range(10))
-    metric: str = "r2_persist"
-    out_dir: str = "runs"
-    region: str | None = None
-    series: str | None = None
-    synth: SynthConfig | None = None
-    train_frac: float = 0.8
-    alpha: float = 0.9
-    flat_depth: int = 2
-    workers: int = 1
-    basins: tuple[str, ...] | None = None
-    sizes: tuple[int, ...] | None = None
-
-    def check(self) -> None:
-        self.dims.check()
-        if self.dims.channels != D_X:
-            raise HydroNetsError("invalid-config", f"dims.channels must be {D_X}: every series has {D_X} channels")
-        self.train.check()
-        if not self.seeds or min(self.seeds) < 0:
-            raise HydroNetsError("invalid-config", "need at least one seed, all >= 0")
-        for name in ("seeds", "basins", "sizes"):
-            values = getattr(self, name) or ()
-            if len(set(values)) != len(values):
-                raise HydroNetsError("invalid-config", f"{name} lists a value twice: {list(values)}")
-        for name in ("basins", "sizes"):
-            if getattr(self, name) == ():
-                raise HydroNetsError("invalid-config", f"{name} is empty; null leaves it unset")
-        if self.sizes and min(self.sizes) < 1:
-            raise HydroNetsError("invalid-config", "sizes must be >= 1")
-        if self.metric not in METRICS:
-            raise HydroNetsError("invalid-config", f"metric must be one of {METRICS}")
-        from_files = self.region is not None and self.series is not None
-        if from_files == (self.synth is not None):
-            raise HydroNetsError(
-                "invalid-config", "give either region+series paths or a synth config, not both"
-            )
-        if self.synth is not None:
-            self.synth.check()
-        if not (0.0 < self.train_frac < 1.0):
-            raise HydroNetsError("invalid-config", "train_frac must lie in (0, 1)")
-        if not (0.0 < self.alpha <= 1.0):
-            raise HydroNetsError("invalid-config", "alpha must lie in (0, 1]")
-        if self.flat_depth < 1 or self.workers < 1:
-            raise HydroNetsError("invalid-config", "flat_depth and workers must be >= 1")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        doc = parse_json(text, "invalid-config")
-        if isinstance(doc, dict) and isinstance(doc.get("train"), dict) and "seed" in doc["train"]:
-            raise HydroNetsError("invalid-config", "train.seed is not read: runs take their seeds from seeds")
-        cfg = from_doc(cls, doc)
-        cfg.check()
-        return cfg
-
-    def echo(self) -> dict:
-        """Config as a manifest-ready dict: exactly the fields that determine
-        the run's numbers (so no out_dir, no worker count and no train.seed,
-        which ``seeds`` overrides). The runners record the basins and sizes
-        they used next to it."""
-        doc = to_doc(self)
-        for name in ("out_dir", "workers", "basins", "sizes"):
-            doc.pop(name, None)
-        del doc["train"]["seed"]
-        return doc
 
 
 # --- report tables --------------------------------------------------------------
@@ -210,18 +137,10 @@ _HASH_PIECE = 1 << 18           # characters
 def _sha256(text: str) -> str:
     """Hex sha256 of ``text`` as UTF-8, encoded a piece at a time: encoded
     whole, the text's bytes and the text live at once."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for start in range(0, len(text), _HASH_PIECE):
         digest.update(text[start : start + _HASH_PIECE].encode())
     return digest.hexdigest()
-
-
-def _reject_unread(cfg: ExperimentConfig, runner: str, *names: str) -> None:
-    """Fail on a set field the runner never reads, which would otherwise
-    be ignored without a word."""
-    for name in names:
-        if getattr(cfg, name) is not None:
-            raise HydroNetsError("invalid-config", f"{runner} does not read {name}: leave it null")
 
 
 def _basins(cfg: ExperimentConfig, g: RegionGraph) -> tuple[str, ...]:
@@ -285,6 +204,8 @@ def _run_grid(cfg: ExperimentConfig, cells: list[_Cell], data: dict[str, Data]) 
     if cfg.workers <= 1:
         done = [run(key) for key in stacks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             done = list(pool.map(run, stacks))
     by_cell = dict(pair for part in done for pair in part)

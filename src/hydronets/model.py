@@ -39,7 +39,6 @@ or one (B, T, n, d_x) array over the model's basins, as
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -49,7 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import CHECKPOINT, from_doc, parse_json, to_doc
+from .codec import CHECKPOINT, from_doc, parse_json, sha256, to_doc
 from .data import MAX_FLOATS, Example, ExampleSet
 from .errors import HydroNetsError
 from .region import RegionGraph, prune_to_depth
@@ -514,7 +513,7 @@ def param_count(p: HydroNetParams | FlatLinearParams) -> int:
 def graph_fingerprint(g: RegionGraph) -> str:
     """Content hash of the connectivity structure (sorted ids and edges)."""
     doc = {"basins": sorted(g.basin_ids), "edges": sorted(list(e) for e in g.edges)}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 # The checkpoint file's schemas, one per model kind: save_checkpoint writes

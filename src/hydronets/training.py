@@ -25,7 +25,9 @@ fold and reverse sweep run once per step with a leading model axis; each
 seed's batch is gathered once and forecast for all its models, trees and
 flat ones, in one matmul against their filters side by side. The
 full-set loss reads the grid one lag at a time. :func:`train` and
-:func:`train_flat` are stacks of one.
+:func:`train_flat` are stacks of one. Their settings,
+:class:`~hydronets.config.TrainConfig`, are re-exported from
+:mod:`~hydronets.config`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .config import TrainConfig
 from .data import ExampleSet
 from .errors import HydroNetsError
 from .model import (
@@ -77,26 +80,6 @@ class LossWeights:
         if total <= 0:
             raise HydroNetsError("invalid-config", "loss weights must have positive sum")
         return LossWeights({bid: w / total for bid, w in self.weights.items()})
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-2
-    epochs: int = 40
-    batch_size: int = 64
-    seed: int = 0
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def check(self) -> None:
-        if self.learning_rate < 0 or self.epochs < 1 or self.batch_size < 1:
-            raise HydroNetsError("invalid-config", f"bad training config: {self}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
-            raise HydroNetsError("invalid-config", f"need 0 <= beta1, beta2 < 1 and eps > 0: {self}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise HydroNetsError("invalid-config", f"unknown optimizer {self.optimizer!r}")
 
 
 def weighted_mse_loss(
@@ -355,8 +338,9 @@ def train_stack(
             filters.reshape(n_seeds, t, width, n_out)[:, :, : n * d_x, :tree_out] = (
                 w.transpose(0, 2, 3, 1, 4).reshape(n_seeds, t, n * d_x, tree_out))
             bias[:, :tree_out] = f.bias.reshape(n_seeds, tree_out)
-        filters[:, flat_row, flat_col] = vector[:, flat_param]
-        bias[:, flat_out] = vector[:, bias_param]
+        if flats:
+            filters[:, flat_row, flat_col] = vector[:, flat_param]
+            bias[:, flat_out] = vector[:, bias_param]
 
     def score(batches: list[np.ndarray], f: TreeFilters | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-model losses (seeds, models) on each seed's batch, and the
@@ -368,7 +352,8 @@ def train_stack(
             err = x @ filters[s] + bias[s]
             err -= np.array([examples.labels[bid][idx] for bid in label_ids])[label_col].T
             g_pred = err * (2.0 / len(idx) * tree_w[s])
-            g_pred[:, tree_out:] = 2.0 * err[:, tree_out:] / len(idx)
+            if flats:
+                g_pred[:, tree_out:] = 2.0 * err[:, tree_out:] / len(idx)
             losses[s] = np.add.reduceat((err * g_pred).sum(axis=0), model_col)
             g_filters[s] = g_pred.T @ x
             g_bias[s] = g_pred.sum(axis=0)
@@ -417,8 +402,9 @@ def train_stack(
             else:
                 losses, g_tree = backward_hydronet(tree_stack, step)
                 grad[:, : offsets[n_trees]] = g_tree.vector.reshape(n_seeds, -1)
-            grad[:, flat_param] = g_filters[:, flat_col, flat_row]
-            grad[:, bias_param] = g_bias[:, flat_out]
+            if flats:
+                grad[:, flat_param] = g_filters[:, flat_col, flat_row]
+                grad[:, bias_param] = g_bias[:, flat_out]
             check(losses, epoch, grad)
             if len(diverged) == len(members):
                 break

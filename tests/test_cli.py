@@ -369,6 +369,19 @@ class TestTrainEvaluate:
             err = capsys.readouterr().err
             assert err.startswith(f"{code}: cannot read ") and "Traceback" not in err, (argv, err)
 
+    def test_train_reads_both_inputs_before_parsing_either(self, tmp_path, capsys):
+        # As the experiment runners do: a malformed region and a missing
+        # series fail on the series, not on the region.
+        region = tmp_path / "region.json"
+        region.write_text("{not json")
+        cfg = write_exp_config(tmp_path / "exp.json", tmp_path / "run", synth=None,
+                               region=str(region), series=str(tmp_path / "missing.csv"))
+        errors = []
+        for command in ("train", "exp-depth"):
+            assert main([command, "--config", cfg]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith(f"syntax-error: cannot read {tmp_path / 'missing.csv'}")
+
     def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
