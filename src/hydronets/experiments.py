@@ -40,7 +40,7 @@ from .data import (
 )
 from .errors import HydroNetsError
 from .metrics import evaluate
-from .model import FlatLinearParams, init_flat, init_hydronet
+from .model import init_flat, init_hydronet
 from .region import RegionGraph, drain_of, dump_region, height, parse_region, prune_to_depth
 from .training import LossWeights, Member, TrainResult, train_stack
 
@@ -224,12 +224,12 @@ def _rows(
     or the error that training or scoring ended in."""
     if isinstance(result, HydroNetsError):
         return result
-    kind = "linear" if isinstance(result.params, FlatLinearParams) else "hydronets"
     try:
         scores = evaluate(result.params, test_set, stats).by_basin()
     except HydroNetsError as e:
         return e
-    return [SeedRow(cell.key, bid, kind, cell.member.seed, getattr(scores[bid], cfg.metric)) for bid in cell.basins]
+    return [SeedRow(cell.key, bid, result.params.kind, cell.member.seed, getattr(scores[bid], cfg.metric))
+            for bid in cell.basins]
 
 
 def _write_run(

@@ -9,9 +9,10 @@ stronger reference, so this score separates models far better than NSE.
 Both are 1 for perfect predictions, 0 for baseline parity, negative when
 the model loses to the baseline.
 
-:func:`evaluate` scores either model kind through its affine filter, as
-in training: the tree's folded per-basin filters or the flat baseline's
-one, applied one lag at a time to the example set's grid.
+:func:`evaluate` scores either model kind through its affine filters,
+which each kind's ``filters()`` gives as in training: the tree's folded
+per-basin filters or the flat baseline's one, a view of its parameters,
+applied one lag at a time to the example set's grid.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .data import ExampleSet, NormStats
 from .errors import HydroNetsError
-from .model import FlatLinearParams, HydroNetParams, flat_filters, fold, forward_batch
+from .model import FlatLinearParams, HydroNetParams, forward_batch  # the benchmark reads forward_batch here
 
 
 def mse(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -118,21 +119,18 @@ def evaluate(
 ) -> MetricsReport:
     """Score a model on an example set at each basin its filter forecasts.
 
-    Tree models are scored at every basin, through the per-basin filters
-    folded from one :func:`~hydronets.model.forward_batch` over the probe
-    batch (as in training); the flat baseline only at its target. The
-    filters are applied one lag at a time to the set's grid, so no window
-    array is built. Passing the normalization stats converts predictions,
-    labels, and the persistence reference back to raw units before
-    scoring; a score that is not finite there fails with ``non-finite``,
-    naming the basin and the score.
+    Each model forecasts through its own ``filters()``, as in training:
+    tree models at every basin, through the per-basin filters folded from
+    one :func:`~hydronets.model.forward_batch` over the probe batch; the
+    flat baseline only at its target. The filters are applied one lag at
+    a time to the set's grid, so no window array is built. Passing the
+    normalization stats converts predictions, labels, and the persistence
+    reference back to raw units before scoring; a score that is not finite
+    there fails with ``non-finite``, naming the basin and the score.
     """
     if len(examples) == 0:
         raise HydroNetsError("empty-metric-input", "cannot evaluate on zero examples")
-    if isinstance(p, FlatLinearParams):
-        f = flat_filters(p)
-    else:
-        f = fold(p, forward_batch(p, p.plan.probe)[1])
+    f = p.filters()
     preds = f.forecast(examples)
     scores = tuple(
         _score_basin(bid, preds[:, i], examples.labels[bid], examples.persist[bid], norm)

@@ -8,13 +8,13 @@ prediction head reduces the embedding window to the scalar forecast.
 Region sources have no combiner: their combined input is zero, which keeps
 the shared model's input width uniform.
 
-The tree model's weights live in one vector (:class:`HydroNetParams`)
-whose views the level sweep reads in place. A plan, built once per model
+Both kinds hold their weights in one vector that their fields view
+(:class:`HydroNetParams`, :class:`FlatLinearParams`), and forecast
+through their own ``filters()``. The tree's plan, built once per model
 and kept on its parameters, fixes both the levels and where each weight
-sits in the vector; every parameter set unpacked from them shares it.
-A vector with leading axes holds a stack of trees on one graph, as
-training builds it: every view, :func:`forward_batch` and :func:`fold`
-then carry those axes, and run all the trees at once.
+sits in the vector; every view of them shares it. A vector with leading
+axes holds a stack of models, as training builds it: every field,
+:func:`forward_batch` and :func:`fold` then carry those axes.
 
 :func:`forward_batch` evaluates that structure at every step of every
 window, one tree level at a time (a source is level 0, any other basin
@@ -24,13 +24,13 @@ source of its basins, a sum per basin, and one shared-map matmul.
 
 Since all three sub-models are affine, each forecast is an affine filter
 over the windows of the basins that drain into its basin; the flat
-baseline ignores the tree and is one filter over a subtree's windows. Both
-kinds forecast through :class:`Filters`: a batch's forecasts, and their
-gradient with respect to the filter, are one matmul each, and a whole
-example set's forecasts one matmul per lag straight from its grid.
-:func:`fold` reads the tree's filters off :func:`forward_batch` on the
-plan's unit-impulse probe batch; single examples and the tests run
-:func:`forward_batch` itself.
+baseline ignores the tree and is one filter over a subtree's windows,
+whose lag-major weights the filter views. Both kinds forecast through
+:class:`Filters`: a batch's forecasts, and their gradient with respect to
+the filter, are one matmul each, and a whole example set's forecasts one
+matmul per lag straight from its grid. :func:`fold` reads the tree's
+filters off :func:`forward_batch` on the plan's unit-impulse probe batch;
+single examples and the tests run :func:`forward_batch` itself.
 
 A batch of features is either a mapping from basin to (B, T, d_x) windows
 or one (B, T, n, d_x) array over the model's basins, as
@@ -39,6 +39,7 @@ or one (B, T, n, d_x) array over the model's basins, as
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -90,12 +91,70 @@ def layout(g: RegionGraph, dims: Dims) -> list[Block]:
     return blocks
 
 
-class HydroNetParams:
-    """All learnable weights of the tree model on ``graph`` at ``dims``,
-    held in one vector.
+def _check_shape(name: str, value, shape: tuple[int, ...]) -> None:
+    """``shape-mismatch`` unless ``value`` is an array of ``shape``."""
+    try:
+        got = None if value is None else np.shape(value)
+    except ValueError:  # nested sequences of unequal lengths have no shape
+        got = "ragged"
+    if got != shape:
+        raise HydroNetsError("shape-mismatch", f"{name} is {got}, want {shape}")
 
-    ``vector`` is the only store. The six fields are views of it, in the
-    order the level sweep reads them:
+
+class _VectorParams:
+    """Parameters held in one ``vector`` that each field views, as its
+    ``_fields()`` place them in one model's vector. A vector with leading
+    model axes, a stack of models, gives every field those axes. Fields
+    cannot be rebound: write into the vector through ``[...]`` instead.
+    ``kind`` names it as checkpoints do, ``basins`` the windows it reads."""
+
+    def _hold(self, vector: np.ndarray | None, attrs: Mapping):
+        """Take ``attrs``, ``vector`` (zeros when None) and each field's view of it; returns self."""
+        self.__dict__.update(attrs)
+        fields = self._fields()
+        vector = np.zeros(fields[-1][1].stop) if vector is None else vector     # the last field ends it
+        self.__dict__.update({name: vector[..., s].reshape(vector.shape[:-1] + shape) for name, s, shape in fields},
+                             vector=vector)
+        return self
+
+    def view(self, vector: np.ndarray):
+        """The same model over ``vector``, with any leading model axes; no copy."""
+        return _restore(type(self), vars(self), vector)
+
+    @property
+    def spec(self) -> dict:
+        """The model but for its weights: every attribute save the vector, its views and a tree's plan."""
+        return {k: v for k, v in vars(self).items() if not isinstance(v, (np.ndarray, _Plan))}
+
+    def __reduce__(self):
+        # A copy holds its own vector, and a tree its own plan: mapping proxies do not copy.
+        return _restore, (type(self), self.spec, self.vector.copy())
+
+    def __setattr__(self, name: str, value) -> None:
+        # ``p.weights += x`` writes in place, then sets the same view again.
+        if value is not self.__dict__.get(name):
+            raise AttributeError(f"cannot rebind {name!r}: write into the vector through [...]")
+
+    def pack(self) -> np.ndarray:
+        """The parameter vector itself, not a copy."""
+        return self.vector
+
+    def unpack(self, vector: np.ndarray):
+        """Parameters held in ``vector``, laid out like :meth:`pack`'s; no copy."""
+        _check_shape("vector", vector, self.vector.shape[-1:])
+        return self.view(vector)
+
+
+def _restore(cls: type, attrs: Mapping, vector: np.ndarray | None = None) -> _VectorParams:
+    """A ``cls`` with ``attrs`` over ``vector`` (see :meth:`_VectorParams._hold`)."""
+    return object.__new__(cls)._hold(vector, attrs)
+
+
+class HydroNetParams(_VectorParams):
+    """All learnable weights of the tree model on ``graph`` at ``dims``,
+    held in one vector (:class:`_VectorParams`).
+
+    Its six fields view it in the order the level sweep reads them:
 
     - ``shared_w`` (K, d_x + K) and ``shared_b`` (K,), the shared map;
     - ``combiner_w`` (K, edges * K), every combiner: the (K, K) block of
@@ -107,16 +166,14 @@ class HydroNetParams:
       ``basin_ids`` order, each head flattening the (T, K) embedding
       row-major.
 
-    ``vector`` may have leading model axes, a stack of trees; every field
-    then has them too, and only :func:`forward_batch`, :func:`fold` and
-    the reverse sweep read such parameters. :meth:`block` is the view of
-    one :func:`layout` block of a single model. ``plan`` is the graph's
-    :class:`_Plan` at ``dims``, built when the parameters are made and
-    shared by all that :meth:`unpack` wraps; a copy or a pickle holds a
-    copy of the vector and builds its own. The fields cannot be rebound,
-    since a new array would not be part of the vector: write through
-    ``[...]`` instead.
+    Only :func:`forward_batch`, :func:`fold` and the reverse sweep read a
+    stack of trees. :meth:`block` views one :func:`layout` block of a
+    single model. ``plan``, the graph's :class:`_Plan` at ``dims``, is
+    built with the parameters and shared by their views, not copies.
     """
+
+    kind = "hydronets"
+    pack, unpack = _VectorParams.pack, _VectorParams.unpack  # each class's own: the benchmark's tracer wraps them there
 
     def __init__(self, graph: RegionGraph, dims: Dims, shared_w, shared_b, combiner_w: Mapping,
                  combiner_b: Mapping, head_w: Mapping, head_b: Mapping):
@@ -128,80 +185,61 @@ class HydroNetParams:
         blocks = layout(graph, dims)
         values = [given[field] if bid is None else given[field].get(bid) for field, bid, _ in blocks]
         for (field, bid, shape), value in zip(blocks, values):
-            try:
-                got = None if value is None else np.shape(value)
-            except ValueError:  # nested sequences of unequal lengths have no shape
-                got = "ragged"
-            if got != shape:
-                raise HydroNetsError("shape-mismatch", f"block {field}/{bid} is {got}, want {shape}")
+            _check_shape(f"block {field}/{bid}", value, shape)
         if sum(map(len, (combiner_w, combiner_b, head_w, head_b))) != len(blocks) - 2:
             raise HydroNetsError("shape-mismatch", "combiner or head blocks for basins the layout lacks")
         # Only blocks of the layout's shapes reach the plan, whose arrays grow with the dims.
-        plan = _plan(graph, dims)
-        self.__dict__.update(vars(self._wrap(graph, dims, np.zeros(plan.size), plan)))
+        self._hold(None, {"graph": graph, "dims": dims})
         for (field, bid, _), value in zip(blocks, values):
             self.block(field, bid)[...] = value
 
-    @classmethod
-    def _wrap(cls, graph: RegionGraph, dims: Dims, vector: np.ndarray,
-              plan: "_Plan | None" = None) -> "HydroNetParams":
-        """Parameters viewing ``vector`` through ``plan``, by default a new
-        plan of the graph at ``dims``; the sizes must agree."""
-        plan = plan or _plan(graph, dims)
-        p = object.__new__(cls)
-        lead = vector.shape[:-1]
-        views = {name: vector[..., s].reshape(lead + shape) for name, s, shape in plan.fields}
-        p.__dict__.update(graph=graph, dims=dims, plan=plan, vector=vector, **views)
-        return p
+    @functools.cached_property
+    def plan(self) -> "_Plan":
+        return _plan(self.graph, self.dims)
 
-    def __reduce__(self):
-        # The plan holds mapping proxies, which cannot be copied or pickled;
-        # a copy builds its own around a copy of the vector.
-        return self._wrap, (self.graph, self.dims, self.vector.copy())
+    basins = property(lambda self: self.graph.basin_ids)
 
-    def __setattr__(self, name: str, value) -> None:
-        # ``p.shared_w += x`` writes in place, then sets the same view again.
-        if value is not self.__dict__.get(name):
-            raise AttributeError(f"cannot rebind {name!r}: write into the vector through [...]")
+    def _fields(self) -> Sequence[tuple[str, slice, tuple[int, ...]]]:
+        return self.plan.fields
 
     def block(self, field: str, basin: str | None) -> np.ndarray:
         """View of one :func:`layout` block (a head bias is 0-d)."""
         return getattr(self, field)[self.plan.place[field, basin]]
 
-    def pack(self) -> np.ndarray:
-        """The parameter vector itself, not a copy."""
-        return self.vector
-
-    def unpack(self, vector: np.ndarray) -> "HydroNetParams":
-        """Parameters held in ``vector``, laid out like :meth:`pack`'s;
-        wraps it without copying."""
-        size = self.plan.size
-        if vector.shape != (size,):
-            raise HydroNetsError("shape-mismatch", f"vector has shape {vector.shape}, expected ({size},)")
-        return self._wrap(self.graph, self.dims, vector, self.plan)
+    def filters(self) -> "TreeFilters":
+        """The per-basin filters, folded from :func:`forward_batch` on the probe."""
+        return fold(self, forward_batch(self, self.plan.probe)[1])
 
 
-@dataclass
-class FlatLinearParams:
-    """Single linear model over the concatenated feature windows of the
-    target's depth-limited subtree (basins in topological order)."""
+class FlatLinearParams(_VectorParams):
+    """Single linear model over the windows of the target's depth-limited
+    subtree, the k basins ``included`` in topological order, in one
+    vector (:class:`_VectorParams`): lag-major ``weights`` (T, k, d_x),
+    then a 0-d ``bias``."""
 
-    target: str
-    included: tuple[str, ...]
-    dims: Dims
-    weights: np.ndarray                    # (len(included) * T * d_x,)
-    bias: float
+    kind = "linear"
+    pack, unpack = _VectorParams.pack, _VectorParams.unpack  # each class's own: the benchmark's tracer wraps them there
 
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.weights, np.array([self.bias])])
+    def __init__(self, target: str, included: tuple[str, ...], dims: Dims, weights, bias):
+        """Copy ``weights``, (k * T * d_x,) basin by basin as checkpoints
+        list them, and the scalar ``bias``; other shapes are ``shape-mismatch``."""
+        k, t, d_x = len(included), dims.window, dims.channels
+        _check_shape("weights", weights, (k * t * d_x,))
+        _check_shape("bias", bias, ())
+        self._hold(None, {"target": target, "included": included, "dims": dims})
+        self.weights[...] = np.reshape(weights, (k, t, d_x)).transpose(1, 0, 2)
+        self.bias[...] = bias
 
-    def unpack(self, vector: np.ndarray) -> "FlatLinearParams":
-        if len(vector) != len(self.weights) + 1:
-            raise HydroNetsError("shape-mismatch", f"vector has {len(vector)} entries")
-        return FlatLinearParams(
-            target=self.target, included=self.included, dims=self.dims,
-            weights=vector[:-1].copy(), bias=float(vector[-1]),
-        )
+    basins = property(lambda self: self.included)
+
+    def _fields(self) -> Sequence[tuple[str, slice, tuple[int, ...]]]:
+        shape = (self.dims.window, len(self.included), self.dims.channels)
+        size = math.prod(shape)
+        return ("weights", slice(0, size), shape), ("bias", slice(size, size + 1), ())
+
+    def filters(self) -> "Filters":
+        """The filter forecasting the target: views of the vector's lag-major weights and its bias."""
+        return Filters(self.included, (self.target,), self.dims, self.vector[..., :-1, None], self.bias[..., None])
 
 
 @dataclass(frozen=True)
@@ -218,8 +256,7 @@ class ForwardTrace:
 def init_hydronet(g: RegionGraph, dims: Dims, seed: int) -> HydroNetParams:
     """Gaussian(0, 1/fan_in) weights, zero biases, deterministic per seed.
     Weight blocks draw from one generator in :func:`layout` order."""
-    plan = _plan(g, dims)
-    p = HydroNetParams._wrap(g, dims, np.zeros(plan.size), plan)
+    p = _restore(HydroNetParams, {"graph": g, "dims": dims})
     rng = np.random.default_rng(seed)
     for field, bid, shape in layout(g, dims):
         if field.endswith("_w"):
@@ -228,15 +265,13 @@ def init_hydronet(g: RegionGraph, dims: Dims, seed: int) -> HydroNetParams:
 
 
 def init_flat(g: RegionGraph, target: str, depth: int, dims: Dims, seed: int) -> FlatLinearParams:
-    """Flat baseline over the depth-limited subtree of ``target``."""
+    """Flat baseline over the depth-limited subtree of ``target``: weights
+    Gaussian(0, 1/fan_in), drawn basin by basin, and a zero bias."""
     dims.check()
     included = prune_to_depth(g, target, depth).topo_order
     fan_in = len(included) * dims.window * dims.channels
-    rng = np.random.default_rng(seed)
-    return FlatLinearParams(
-        target=target, included=included, dims=dims,
-        weights=rng.standard_normal(fan_in) / np.sqrt(fan_in), bias=0.0,
-    )
+    weights = np.random.default_rng(seed).standard_normal(fan_in) / np.sqrt(fan_in)
+    return FlatLinearParams(target, included, dims, weights, 0.0)
 
 
 def check_features(basin_ids: Sequence[str], dims: Dims, features: Mapping[str, np.ndarray]) -> int:
@@ -437,11 +472,6 @@ class Filters:
         cols = examples.columns(self.basin_ids, self.dims.window, self.dims.channels)
         return examples.lagged_dot(cols, self.weights) + self.bias
 
-    def gradient(self, x: np.ndarray, g_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A loss's gradients by ``weights``, transposed, and by ``bias``,
-        from ``g_pred``, its gradient by :meth:`apply`'s forecasts on ``x``."""
-        return g_pred.T @ x.reshape(len(x), -1), g_pred.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class TreeFilters(Filters):
@@ -488,19 +518,6 @@ def forward_hydronet(p: HydroNetParams, ex: Example) -> ForwardTrace:
         embeddings={b: e[0] for b, e in embeddings.items()},
         preds={b: float(v[0]) for b, v in preds.items()},
     )
-
-
-def lag_order(p: FlatLinearParams) -> np.ndarray:
-    """Index into ``p.weights``, which run basin by basin, of the weight of
-    each lag-major window column."""
-    k, t, d_x = len(p.included), p.dims.window, p.dims.channels
-    return np.arange(k * t * d_x).reshape(k, t, d_x).transpose(1, 0, 2).ravel()
-
-
-def flat_filters(p: FlatLinearParams) -> Filters:
-    """The flat model as a filter forecasting its target: its weights in
-    :func:`lag_order`, and its bias."""
-    return Filters(p.included, (p.target,), p.dims, p.weights[lag_order(p), None], np.array([p.bias]))
 
 
 def param_count(p: HydroNetParams | FlatLinearParams) -> int:
@@ -552,18 +569,18 @@ class _Tree:
 
 
 def save_checkpoint(p: HydroNetParams | FlatLinearParams) -> str:
-    """Checkpoint text of ``p``: its kind's schema, blocks by basin in
-    :func:`layout` order, through :func:`~hydronets.codec.to_doc`; floats
-    round-trip bit-exactly."""
-    if isinstance(p, FlatLinearParams):
-        ck = _Linear("linear", p.dims, p.target, p.included, p.weights.tolist(), p.bias)
+    """Checkpoint text of ``p``: its kind's schema (a tree's blocks by basin
+    in :func:`layout` order, flat weights basin by basin) through
+    :func:`~hydronets.codec.to_doc`; floats round-trip bit-exactly."""
+    if p.kind == "linear":
+        ck = _Linear(p.kind, p.dims, p.target, p.included, p.weights.swapaxes(0, 1).ravel().tolist(), p.bias.item())
     else:
         blocks = layout(p.graph, p.dims)
         combiners = {bid: _Combiner(p.block(field, bid).tolist(), p.block("combiner_b", bid).tolist())
                      for field, bid, _ in blocks if field == "combiner_w"}
         heads = {bid: _Head(p.block(field, bid).tolist(), p.block("head_b", bid).item())
                  for field, bid, _ in blocks if field == "head_w"}
-        ck = _Tree("hydronets", p.dims, graph_fingerprint(p.graph), p.shared_w.tolist(),
+        ck = _Tree(p.kind, p.dims, graph_fingerprint(p.graph), p.shared_w.tolist(),
                    p.shared_b.tolist(), combiners, heads)
     return json.dumps(to_doc(ck), indent=2) + "\n"
 
@@ -591,20 +608,19 @@ def load_checkpoint(text: str, g: RegionGraph | None = None) -> HydroNetParams |
             raise HydroNetsError("graph-mismatch", f"{basins} names basins not in the region")
         if len(set(ck.included)) != len(ck.included) or ck.target not in ck.included:
             raise HydroNetsError("bad-checkpoint", f"included {ck.included} repeats a basin or lacks {ck.target!r}")
-        if len(ck.weights) != len(ck.included) * ck.dims.window * ck.dims.channels:
-            raise HydroNetsError("bad-checkpoint", f"weights have shape ({len(ck.weights)},)")
-        return FlatLinearParams(ck.target, ck.included, ck.dims, np.array(ck.weights), ck.bias)
-    if g is None:
+    elif g is None:
         raise HydroNetsError("missing-graph", "tree checkpoints need the region graph to load")
-    if graph_fingerprint(g) != ck.graph_fingerprint:
+    elif graph_fingerprint(g) != ck.graph_fingerprint:
         raise HydroNetsError("graph-mismatch", "checkpoint was trained on a different region graph")
-    if set(ck.combiners) != {bid for bid in g.basin_ids if g.upstream[bid]}:
+    elif set(ck.combiners) != {bid for bid in g.basin_ids if g.upstream[bid]}:
         raise HydroNetsError("bad-checkpoint", f"combiners for {sorted(ck.combiners)} do not match the region")
-    if set(ck.heads) != set(g.basin_ids):
+    elif set(ck.heads) != set(g.basin_ids):
         raise HydroNetsError("bad-checkpoint", f"heads for {sorted(ck.heads)} do not match the region")
-    per_basin = {f"{field}_{part}": {bid: getattr(v, part) for bid, v in group.items()}
-                 for field, group in (("combiner", ck.combiners), ("head", ck.heads)) for part in "wb"}
     try:
+        if isinstance(ck, _Linear):
+            return FlatLinearParams(ck.target, ck.included, ck.dims, ck.weights, ck.bias)
+        per_basin = {f"{field}_{part}": {bid: getattr(v, part) for bid, v in group.items()}
+                     for field, group in (("combiner", ck.combiners), ("head", ck.heads)) for part in "wb"}
         return HydroNetParams(g, ck.dims, ck.shared_w, ck.shared_b, **per_basin)
     except HydroNetsError as e:
         if e.code != "shape-mismatch":

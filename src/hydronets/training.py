@@ -4,19 +4,19 @@ Both model kinds meet a batch only through their affine filters
 (:class:`~hydronets.model.Filters`): the forecasts, and the gradient with
 respect to the filter, are one matmul each against the batch's windows,
 gathered from the example set's grid in one index. The flat baseline's
-filter is its weights reordered, so that gradient is its own, scattered
-back to the basin-major weights. The tree's is folded from the tree
-(:func:`~hydronets.model.fold`), so it seeds reverse-mode accumulation
-over the region graph on the small probe batch the filters were read
-from. The sweep runs one tree level at a time, drain-first, so each
-basin's embedding gradient already includes the contribution routed back
-through every downstream combiner when its own level is reached. A level
-is a fixed number of numpy calls: the combined-input gradients of its
-basins, one batched matmul for the combiner blocks of every source
-feeding them, and one indexed add of the routed gradient into those
-sources. The shared map's gradient is one matmul over all basins after
-the sweep. Every block of the gradient is written straight into its view
-of one new vector laid out like the parameters.
+filter is a view of its lag-major weights, so that gradient needs no
+reordering, only a gather from the seed's filter gradients. The tree's is
+folded from the tree (:func:`~hydronets.model.fold`), so it seeds
+reverse-mode accumulation over the region graph on the small probe batch the
+filters were read from. The sweep runs one tree level at a time,
+drain-first, so each basin's embedding gradient already includes the
+contribution routed back through every downstream combiner when its own
+level is reached. A level is a fixed number of numpy calls: the
+combined-input gradients of its basins, one batched matmul for the combiner
+blocks of every source feeding them, and one indexed add of the routed
+gradient into those sources. The shared map's gradient is one matmul over
+all basins after the sweep. Every block of the gradient is written straight
+into its view of one new vector laid out like the parameters.
 
 Both model kinds train in one minibatch loop, :func:`train_stack`, over
 a stack: every model trained on one example set, one row of parameters
@@ -129,13 +129,13 @@ def backward_hydronet(
         err = preds - np.array([labels[bid] for bid in ids]).T
         g_pred = err * (2.0 / batch * np.array([w.weights.get(bid, 0.0) for bid in ids]))
         loss = 0.5 * float(np.vdot(err, g_pred))     # sum_i w_i * mean_b err_bi^2
-        g_f, g_bias = f.gradient(x, g_pred)
+        g_f, g_bias = g_pred.T @ x.reshape(batch, -1), g_pred.sum(axis=0)
 
     # Filter gradients, one (T, n * d_x) block per forecast basin, then
     # through the fold: weights_i = H_i @ R_i^T and
     # bias_i = sum_t H_i[t] . q_i + head_b_i.
     g_f = g_f.reshape(lead + (n, t, n * d_x))
-    grad = HydroNetParams._wrap(p.graph, p.dims, np.zeros_like(p.vector), p.plan)
+    grad = p.view(np.zeros_like(p.vector))
     g_head = g_f @ f.response + g_bias[..., None, None] * f.zero[..., None, :]
     grad.head_w[...] = g_head.reshape(lead + (n, t * k))
     grad.head_b[...] = g_bias
@@ -197,7 +197,7 @@ class Member:
     """One model of a stack: its initial parameters, which training leaves
     untouched, the seed its batches are shuffled by, and for a tree its
     loss weights (uniform when None). A flat model's loss is its target's
-    mean squared error."""
+    mean squared error, and it takes no loss weights."""
 
     params: HydroNetParams | FlatLinearParams
     seed: int
@@ -225,23 +225,18 @@ class _Optimizer:
         vector -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
-def _loss_weights(p: HydroNetParams, w: LossWeights | None) -> LossWeights:
-    """``w`` (uniform when None) checked against the tree's basins and normalized."""
-    basin_ids = p.graph.basin_ids
+def _loss_weights(p: HydroNetParams | FlatLinearParams, w: LossWeights | None) -> LossWeights | None:
+    """A tree's ``w`` (uniform when None), checked and normalized; a flat model takes none."""
+    if p.kind == "linear" and w is not None:
+        raise HydroNetsError("invalid-config", "a flat model takes no loss weights")
+    if p.kind == "linear":
+        return None
     if w is None:
-        w = LossWeights.uniform(basin_ids)
-    unknown = sorted(set(w.weights) - set(basin_ids))
+        w = LossWeights.uniform(p.basins)
+    unknown = sorted(set(w.weights) - set(p.basins))
     if unknown:
         raise HydroNetsError("unknown-basin", f"loss weights for basins not in the region: {unknown}")
     return w.normalized()
-
-
-def _kind(p: HydroNetParams | FlatLinearParams) -> tuple:
-    """What a model must share with the models in its slot at every other
-    seed of a stack (and, for a tree, with every tree of it)."""
-    if isinstance(p, HydroNetParams):
-        return ("tree", p.graph, p.dims)
-    return ("flat", p.target, p.included, p.dims)
 
 
 def train_stack(
@@ -270,12 +265,9 @@ def train_stack(
     the others untouched, and the loop stops once every member diverged.
     """
     members = list(members)
-    weights = [_loss_weights(m.params, m.weights) if isinstance(m.params, HydroNetParams) else None
-               for m in members]
+    weights = [_loss_weights(m.params, m.weights) for m in members]
     for m in members:
-        p = m.params
-        basins = p.graph.basin_ids if isinstance(p, HydroNetParams) else p.included
-        examples.columns(basins, p.dims.window, p.dims.channels)
+        examples.columns(m.params.basins, m.params.dims.window, m.params.dims.channels)
     cfg.check()
     n_examples = len(examples)
     if n_examples == 0:
@@ -283,17 +275,17 @@ def train_stack(
     if not members:
         return []
 
-    # Each seed's row of members, trees first; every row alike.
+    # Each seed's row of members, trees first; every row alike, and its trees on one graph.
     seeds = list(dict.fromkeys(m.seed for m in members))
     rows = [sorted((i for i, m in enumerate(members) if m.seed == seed),
-                   key=lambda i: not isinstance(members[i].params, HydroNetParams)) for seed in seeds]
-    kinds = [[_kind(members[i].params) for i in row] for row in rows]
-    n_trees = sum(kind[0] == "tree" for kind in kinds[0])
+                   key=lambda i: members[i].params.kind == "linear") for seed in seeds]
+    kinds = [[(members[i].params.kind, members[i].params.spec) for i in row] for row in rows]
+    n_trees = sum(kind[0] == "hydronets" for kind in kinds[0])
     if any(row != kinds[0] for row in kinds) or kinds[0][:n_trees].count(kinds[0][0]) < n_trees:
         raise HydroNetsError("invalid-config", "a stack trains the same models at every seed, its trees on one graph")
     first = [members[i].params for i in rows[0]]
     trees, flats = first[:n_trees], first[n_trees:]
-    tree_ids = trees[0].graph.basin_ids if trees else ()
+    tree_ids = trees[0].basins if trees else ()
     layout = tuple(dict.fromkeys([*tree_ids, *(bid for fp in flats for bid in fp.included)]))
     pos = {bid: j for j, bid in enumerate(layout)}
     t, d_x = examples.window, examples.d_x
@@ -312,7 +304,7 @@ def train_stack(
     flat_param = np.delete(np.arange(offsets[n_trees], offsets[-1]), bias_param - offsets[n_trees])
     flat_col = np.repeat(flat_out, np.diff(offsets[n_trees:]) - 1)
     flat_row = np.concatenate([np.zeros(0, np.intp), *(
-        (np.array([pos[bid] for bid in fp.included])[:, None, None] * d_x + np.arange(t)[:, None] * width
+        (np.arange(t)[:, None, None] * width + np.array([pos[bid] for bid in fp.included])[:, None] * d_x
          + np.arange(d_x)).ravel() for fp in flats)])
     label_ids = tuple(dict.fromkeys([*tree_ids, *(fp.target for fp in flats)]))
     label_col = np.array([*range(n)] * n_trees + [label_ids.index(fp.target) for fp in flats], dtype=np.intp)
@@ -322,10 +314,7 @@ def train_stack(
         tree_w[s, :tree_out] = [weights[i].weights.get(bid, 0.0) for i in row[:n_trees] for bid in tree_ids]
 
     vector = np.stack([np.concatenate([members[i].params.pack() for i in row]) for row in rows])
-    tree_stack = None
-    if trees:
-        tree_stack = HydroNetParams._wrap(trees[0].graph, trees[0].dims,
-                                          vector[:, : offsets[n_trees]].reshape(n_seeds, n_trees, -1), trees[0].plan)
+    tree_stack = trees[0].view(vector[:, : offsets[n_trees]].reshape(n_seeds, n_trees, -1)) if trees else None
     filters = np.zeros((n_seeds, t * width, n_out))
     bias = np.zeros((n_seeds, n_out))
     g_filters = np.zeros((n_seeds, n_out, t * width))
@@ -411,7 +400,7 @@ def train_stack(
             opt.step(vector, grad)
         if len(diverged) == len(members):
             break
-        place(None if tree_stack is None else fold(tree_stack, forward_batch(tree_stack, tree_stack.plan.probe)[1]))
+        place(None if tree_stack is None else tree_stack.filters())
         for s, row in enumerate(rows):
             history[epoch, s] = full_losses(s, row)
         check(history[epoch], epoch)
@@ -422,10 +411,7 @@ def train_stack(
             if i in diverged:
                 results[i] = HydroNetsError("diverged", f"loss became non-finite at epoch {diverged[i]}")
                 continue
-            v = vector[s, offsets[slot] : offsets[slot + 1]]
-            p = members[i].params
-            params = (HydroNetParams._wrap(p.graph, p.dims, v.copy(), trees[0].plan)
-                      if slot < n_trees else p.unpack(v))
+            params = members[i].params.view(vector[s, offsets[slot] : offsets[slot + 1]].copy())
             results[i] = TrainResult(params=params, history=history[:, s, slot].tolist())
     return results
 

@@ -113,7 +113,8 @@ def reference_forward_batch(p, features):
 
 def reference_flat_forecast(p, features):
     """The flat model read basin by basin: the concatenated per-basin
-    windows of ``p.included`` times its basin-major weights, plus its
-    bias. The oracle for its lag-major filter."""
+    windows of ``p.included`` times its weights in that order, plus its
+    bias. The oracle for its lag-major filter, so it never goes through
+    :meth:`~hydronets.model.Filters.apply`."""
     x = np.concatenate([features[bid].reshape(len(features[bid]), -1) for bid in p.included], axis=1)
-    return x @ p.weights + p.bias
+    return x @ p.weights.swapaxes(0, 1).ravel() + p.bias

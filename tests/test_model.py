@@ -16,7 +16,6 @@ from hydronets.model import (
     FlatLinearParams,
     HydroNetParams,
     as_batch,
-    flat_filters,
     forward_batch,
     forward_hydronet,
     graph_fingerprint,
@@ -65,7 +64,18 @@ def batch_of(ex):
 
 def flat_forecast(p, features):
     """The flat filter's forecasts at ``p.target`` for a per-basin batch."""
-    return flat_filters(p).apply(as_batch(p.included, p.dims, features))[:, 0]
+    return p.filters().apply(as_batch(p.included, p.dims, features))[:, 0]
+
+
+KINDS = ("hydronets", "linear")
+
+
+def one_of_kind(kind, g, dims, seed):
+    """Initial parameters of ``kind`` on ``g``: the tree, or the flat
+    model of the drain's whole subtree."""
+    if kind == "hydronets":
+        return init_hydronet(g, dims, seed)
+    return init_flat(g, g.topo_order[-1], len(g.basin_ids), dims, seed)
 
 
 def chains(max_basins=9):
@@ -228,7 +238,7 @@ class TestFlat:
     def test_bias_only(self, fork_graph):
         dims = Dims(window=2, embedding=1, horizon=1)
         p = init_flat(fork_graph, "b4", 2, dims, 0)
-        p = p.unpack(np.concatenate([np.zeros_like(p.weights), [3.5]]))
+        p = p.unpack(np.append(np.zeros(p.weights.size), 3.5))
         ex = example_for(fork_graph, dims, rng=np.random.default_rng(0))
         assert flat_forecast(p, batch_of(ex)) == pytest.approx([3.5])
 
@@ -257,15 +267,14 @@ class TestFlat:
         assert set(p3.included) == {"b1", "b2", "b3", "b4"}
 
     def test_filter_reads_included_basins_in_topological_order(self, fork_graph):
-        # The weights run basin by basin in the order of ``included``, as
-        # the checkpoint stores them; the filter reads each basin's block.
+        # The weights are (T, k, d_x), basins in the order of ``included``;
+        # the filter reads basin j's weights from ``weights[:, j]``.
         dims = Dims(window=2, embedding=1, horizon=1)
         p = init_flat(fork_graph, "b4", 3, dims, 0)
-        p = p.unpack(np.append(np.arange(len(p.weights), dtype=float), 0.0))
-        block = dims.window * dims.channels
+        p = p.unpack(np.append(np.arange(p.weights.size, dtype=float), 0.0))
         for j, bid in enumerate(p.included):
             feats = {b: np.full((1, 2, 2), float(b == bid)) for b in p.included}
-            assert flat_forecast(p, feats) == [p.weights[j * block : (j + 1) * block].sum()]
+            assert flat_forecast(p, feats) == [p.weights[:, j].sum()]
             assert flat_forecast(p, feats) == reference_flat_forecast(p, feats)
 
 
@@ -319,11 +328,21 @@ class TestInit:
         assert np.all(p.head_b == 0.0)
 
     def test_pack_unpack_round_trip(self, fork_graph):
-        p = init_hydronet(fork_graph, Dims(window=3, embedding=2, horizon=2), 4)
-        v = p.pack()
-        assert np.array_equal(p.unpack(v).pack(), v)
-        with pytest.raises(HydroNetsError, match="shape-mismatch"):
-            p.unpack(np.zeros(len(v) + 1))
+        for kind in KINDS:
+            p = one_of_kind(kind, fork_graph, Dims(window=3, embedding=2, horizon=2), 4)
+            v = p.pack()
+            assert np.array_equal(p.unpack(v).pack(), v)
+            for bad in (np.zeros(len(v) + 1), np.zeros((len(v), 1)), np.zeros((2, len(v)))):
+                with pytest.raises(HydroNetsError, match="shape-mismatch"):
+                    p.unpack(bad)
+
+    def test_flat_draws_its_weights_basin_by_basin(self, fork_graph):
+        dims = Dims(window=3, embedding=2, horizon=1)
+        p = init_flat(fork_graph, "b4", 3, dims, 9)
+        fan_in = p.weights.size
+        want = np.random.default_rng(9).standard_normal(fan_in) / np.sqrt(fan_in)
+        assert np.array_equal(p.weights.swapaxes(0, 1).ravel(), want)
+        assert p.bias == 0.0
 
 
 def fans(max_sources=8):
@@ -347,10 +366,10 @@ class TestParamStore:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.one_of(random_trees(max_basins=12), chains(), fans(), st.just(tree_from_parents([]))),
+        st.one_of(random_trees(max_basins=12), chains(), fans(), st.just(tree_from_parents([]))), st.data(),
         st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1),
     )
-    def test_blocks_tile_one_vector(self, g, window, embedding, channels, seed):
+    def test_blocks_tile_one_vector(self, g, data, window, embedding, channels, seed):
         dims = Dims(window=window, embedding=embedding, horizon=1, channels=channels)
         rng = np.random.default_rng(seed)
         kwargs = block_kwargs(g, dims, rng.standard_normal)
@@ -364,18 +383,21 @@ class TestParamStore:
             count.block(field, bid)[...] += 1.0
         assert np.all(count.pack() == 1.0)
 
-        v = rng.standard_normal(param_count(p))
-        q = p.unpack(v)
-        assert q.pack() is v
-        for name in self.FIELDS:
-            view = getattr(q, name)
-            assert view.size == 0 or np.shares_memory(view, v)
-            with pytest.raises(AttributeError, match="rebind"):
-                setattr(q, name, view.copy())
+        q = assert_fields_view_one_vector(p, self.FIELDS, rng)
         q.shared_b += 1.0        # in place: the same view is set again
-        assert np.shares_memory(q.shared_b, v)
-        with pytest.raises(AttributeError, match="rebind"):
-            q.vector = v.copy()
+        assert np.shares_memory(q.shared_b, q.vector)
+
+        # The flat model on the same graph: (T, k, d_x) weights, then a 0-d bias,
+        # and a filter that views them.
+        target, depth = data.draw(st.sampled_from(g.basin_ids)), data.draw(st.integers(1, 4))
+        p = init_flat(g, target, depth, dims, seed)
+        assert p.weights.shape == (window, len(p.included), channels) and p.bias.shape == ()
+        q = assert_fields_view_one_vector(p, ("weights", "bias"), rng)
+        q.bias += 1.0
+        assert np.shares_memory(q.bias, q.vector)
+        f = q.filters()
+        assert np.shares_memory(f.weights, q.vector) and np.shares_memory(f.bias, q.vector)
+        assert np.array_equal(f.weights[:, 0], q.weights.ravel()) and f.bias[0] == q.bias
 
     def test_wrong_block_shape_is_rejected(self, fork_graph):
         dims = Dims(window=2, embedding=2, horizon=1)
@@ -391,6 +413,12 @@ class TestParamStore:
         for kwargs in (narrow, foreign, missing):
             with pytest.raises(HydroNetsError, match="shape-mismatch"):
                 HydroNetParams(fork_graph, dims, **kwargs)
+        # The flat model takes (k * T * d_x,) weights, basin by basin, and a scalar bias.
+        size = 3 * dims.window * dims.channels
+        for weights, bias in ((np.ones(size - 1), 0.0), (np.ones(size + 1), 0.0), (np.ones((size, 1)), 0.0),
+                              (np.ones((3, dims.window, dims.channels)), 0.0), (np.ones(size), [0.0])):
+            with pytest.raises(HydroNetsError, match="shape-mismatch"):
+                FlatLinearParams("b4", ("b1", "b3", "b4"), dims, weights, bias)
 
     def test_ragged_block_is_rejected(self, fork_graph):
         dims = Dims(window=2, embedding=2, horizon=1)
@@ -398,16 +426,46 @@ class TestParamStore:
         kwargs["shared_w"] = [[1.0, 2.0, 3.0, 4.0], [1.0]]
         with pytest.raises(HydroNetsError, match="shape-mismatch: block shared_w/None is ragged"):
             HydroNetParams(fork_graph, dims, **kwargs)
+        with pytest.raises(HydroNetsError, match="shape-mismatch: weights is ragged"):
+            FlatLinearParams("b4", ("b4",), Dims(window=1, embedding=1, horizon=1), [[1.0], [1.0, 2.0]], 0.0)
 
     def test_copies_hold_their_own_vector(self, fork_graph):
-        p = init_hydronet(fork_graph, Dims(window=3, embedding=2, horizon=1), 4)
-        before, text = p.vector.copy(), save_checkpoint(p)
-        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-            assert q.graph == p.graph and q.dims == p.dims and save_checkpoint(q) == text
-            assert not np.shares_memory(q.vector, p.vector)
-            q.shared_w[...] = 7.0
-            assert np.all(q.unpack(q.vector.copy()).shared_w == 7.0)
-            np.testing.assert_array_equal(p.vector, before)
+        for kind, fields in zip(KINDS, (self.FIELDS, ("weights", "bias"))):
+            p = one_of_kind(kind, fork_graph, Dims(window=3, embedding=2, horizon=1), 4)
+            before, text = p.vector.copy(), save_checkpoint(p)
+            for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                # A tree's graph, or a flat model's target and subtree, and the dims carry over.
+                assert type(q) is type(p) and non_arrays(q) == non_arrays(p) and save_checkpoint(q) == text
+                assert not np.shares_memory(q.vector, p.vector)
+                assert all(np.shares_memory(getattr(q, name), q.vector) for name in fields)
+                getattr(q, fields[0])[...] = 7.0
+                assert np.all(getattr(q.unpack(q.vector.copy()), fields[0]) == 7.0)
+                np.testing.assert_array_equal(p.vector, before)
+
+
+def non_arrays(p):
+    """Every attribute of ``p`` but its arrays and a tree's plan."""
+    return {k: v for k, v in vars(p).items() if not isinstance(v, np.ndarray) and k != "plan"}
+
+
+def assert_fields_view_one_vector(p, fields, rng):
+    """``p.unpack`` wraps a vector without copying it, every field views
+    it and none can be rebound, and a view with a leading model axis gives
+    every field that axis. Returns ``p`` unpacked from a random vector."""
+    v = rng.standard_normal(param_count(p))
+    q = p.unpack(v)
+    assert q.pack() is v and type(q) is type(p)
+    for name in fields:
+        view = getattr(q, name)
+        assert view.size == 0 or np.shares_memory(view, v)
+        with pytest.raises(AttributeError, match="rebind"):
+            setattr(q, name, view.copy())
+    with pytest.raises(AttributeError, match="rebind"):
+        q.vector = v.copy()
+    stack = q.view(np.stack([v, 2.0 * v]))
+    for name in fields:
+        assert np.array_equal(getattr(stack, name), np.stack([getattr(q, name), 2.0 * getattr(q, name)]))
+    return q
 
 
 def checkpoint_cases():
@@ -447,6 +505,22 @@ class TestCheckpoints:
         assert np.array_equal(p.pack(), q.pack())
         assert q.included == p.included and q.target == p.target and q.dims == p.dims
         assert save_checkpoint(q) == text
+
+    def test_flat_checkpoint_lists_weights_basin_by_basin(self, fork_graph):
+        # Each weight is coded by its (lag, basin, channel); the file runs
+        # basin by basin, then lag, then channel, whatever the vector's order.
+        dims = Dims(window=3, embedding=1, horizon=1)
+        p = init_flat(fork_graph, "b4", 3, dims, 0)
+        t, k, d_x = p.weights.shape
+        for lag, m, c in np.ndindex(p.weights.shape):
+            p.weights[lag, m, c] = 100 * lag + 10 * m + c
+        p.bias[...] = -1.0
+        text = save_checkpoint(p)
+        doc = json.loads(text)
+        assert doc["weights"] == [100 * lag + 10 * m + c for m in range(k) for lag in range(t) for c in range(d_x)]
+        assert doc["bias"] == -1.0
+        q = load_checkpoint(text, fork_graph)
+        assert np.array_equal(q.vector, p.vector) and q.weights.shape == (t, k, d_x)
 
     def test_graph_mismatch(self, fork_graph, chain2):
         p = init_hydronet(fork_graph, Dims(window=2, embedding=1, horizon=1), 0)
@@ -517,13 +591,16 @@ class TestCheckpoints:
                 load_checkpoint(text, fork_graph)
 
     def test_dims_beyond_any_array_fail_on_block_shapes(self, fork_graph):
-        # The blocks are checked against the layout before a plan of the
-        # checkpoint's dims is built, so no array of that size is asked for.
-        doc = json.loads(save_checkpoint(init_hydronet(fork_graph, Dims(window=2, embedding=2, horizon=1), 0)))
-        for field in ("window", "embedding", "channels"):
-            edited = {**doc, "dims": {**doc["dims"], field: 10**30}}
-            with pytest.raises(HydroNetsError, match="^bad-checkpoint: shape-mismatch: block "):
-                load_checkpoint(json.dumps(edited), fork_graph)
+        # The blocks are checked against the layout before a plan or a
+        # vector of the checkpoint's dims is built, so no array of that
+        # size is asked for. The flat model has no embedding.
+        for kind, fields, what in zip(KINDS, (("window", "embedding", "channels"), ("window", "channels")),
+                                      ("block ", "weights ")):
+            doc = json.loads(save_checkpoint(one_of_kind(kind, fork_graph, Dims(window=2, embedding=2, horizon=1), 0)))
+            for field in fields:
+                edited = {**doc, "dims": {**doc["dims"], field: 10**30}}
+                with pytest.raises(HydroNetsError, match=f"^bad-checkpoint: shape-mismatch: {what}"):
+                    load_checkpoint(json.dumps(edited), fork_graph)
 
     def test_fingerprint_ignores_declaration_order(self, fork_graph):
         reordered = RegionGraph(basins=fork_graph.basins[::-1], edges=fork_graph.edges[::-1])

@@ -18,8 +18,6 @@ from hydronets.model import (
     Dims,
     FlatLinearParams,
     as_batch,
-    flat_filters,
-    fold,
     forward_batch,
     init_flat,
     init_hydronet,
@@ -42,10 +40,6 @@ from conftest import random_trees, reference_flat_forecast, reference_forward_ba
 
 def rel_err(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-
-
-def filters(p):
-    return fold(p, forward_batch(p, p.plan.probe)[1])
 
 
 def grid_set(g, dims, rng, steps):
@@ -119,7 +113,7 @@ class TestBackwardHydronet:
         p = init_hydronet(chain2, dims, 1)
         rng = np.random.default_rng(1)
         feats = {b: rng.standard_normal((3, 2, 2)) for b in chain2.basin_ids}
-        preds = dict(zip(chain2.basin_ids, filters(p).apply(as_batch(chain2.basin_ids, dims, feats)).T))
+        preds = dict(zip(chain2.basin_ids, p.filters().apply(as_batch(chain2.basin_ids, dims, feats)).T))
         w = LossWeights.uniform(chain2.basin_ids)
         loss, grad = backward_hydronet(p, feats, preds, w)
         assert loss == 0.0
@@ -232,7 +226,7 @@ class TestFold:
         ids, t, d_x = p.graph.basin_ids, p.dims.window, p.dims.channels
         preds = reference_forward_batch(p, feats)[2]
         ref = np.stack([preds[bid] for bid in ids], axis=1)
-        f = filters(p)
+        f = p.filters()
         x = as_batch(ids, p.dims, feats)
         examples = ExampleSet(
             graph=p.graph, window=t, horizon=1, d_x=d_x, anchors=np.arange(len(x)) * t + t - 1,
@@ -268,7 +262,7 @@ class TestFold:
         dims = Dims(window=3, embedding=2, horizon=1)
         p = init_hydronet(fork_graph, dims, 5)
         p = p.unpack(p.pack() + np.random.default_rng(5).standard_normal(param_count(p)))
-        f = filters(p)
+        f = p.filters()
         ids = fork_graph.basin_ids
         subtree = {"b1": {"b1"}, "b2": {"b2"}, "b3": {"b1", "b2", "b3"}, "b4": set(ids)}
         weights = f.weights.reshape(dims.window, len(ids), dims.channels, len(ids))
@@ -289,7 +283,7 @@ class TestBackwardFlat:
         dims = Dims(window=3, embedding=1, horizon=1)
         p = init_flat(fork_graph, "b4", 2, dims, 4)
         examples = grid_set(fork_graph, dims, np.random.default_rng(4), 7)
-        x = set_windows(flat_filters(p), examples)
+        x = set_windows(p.filters(), examples)
         feats = {bid: x[:, :, j] for j, bid in enumerate(p.included)}
         cfg = TrainConfig(learning_rate=1.0, epochs=1, batch_size=len(x), optimizer="sgd")
         grad = p.pack() - train_flat(p, examples, cfg).params.pack()
@@ -316,16 +310,16 @@ class TestFilters:
         rng = np.random.default_rng(seed)
         examples = grid_set(g, dims, rng, window + data.draw(st.integers(0, 12)))
         flat = init_flat(g, target, depth, dims, seed)
-        flat.bias = float(rng.standard_normal())
+        flat.bias[...] = rng.standard_normal()
         tree = init_hydronet(g, dims, seed)
         tree = tree.unpack(tree.pack() + 0.5 * rng.standard_normal(param_count(tree)))
 
-        f = flat_filters(flat)
+        f = flat.filters()
         x = set_windows(f, examples)
         ref = reference_flat_forecast(flat, {bid: x[:, :, j] for j, bid in enumerate(flat.included)})
         assert f.targets == (target,)
         assert rel_err(f.apply(x)[:, 0], ref).max() < 1e-12
-        for f in (f, filters(tree)):
+        for f in (f, tree.filters()):
             assert rel_err(f.forecast(examples), f.apply(set_windows(f, examples))).max() < 1e-12
 
 
@@ -475,7 +469,7 @@ class TestTrain:
             err = w * x + b - y
             w, b = w - lr * 2 * err * x, b - lr * 2 * err
             history.append((w * x + b - y) ** 2)
-        assert result.params.weights[0] == pytest.approx(w, rel=1e-12)
+        assert result.params.weights.item() == pytest.approx(w, rel=1e-12)
         assert result.params.bias == pytest.approx(b, rel=1e-12)
         assert result.history == pytest.approx(history, rel=1e-12)
 
@@ -548,7 +542,7 @@ def stacks(draw):
                 members.append(Member(p, seed, LossWeights(raw)))
             else:
                 p = init_flat(g, *slot, dims, seed)
-                p.bias = float(rng.standard_normal())
+                p.bias[...] = rng.standard_normal()
                 members.append(Member(p, seed))
     # Seeds interleave in drawn order; each seed keeps its slots' order.
     by_seed = {seed: iter([m for m in members if m.seed == seed]) for seed in seeds}
@@ -575,10 +569,12 @@ def first_step(members, examples):
 
 
 def reference_flat_gradient(p, features, labels):
-    """The flat model's mean squared error gradient, basin by basin."""
+    """The flat model's mean squared error gradient, worked out basin by
+    basin and returned in the layout of its vector."""
     x = np.concatenate([features[bid].reshape(len(features[bid]), -1) for bid in p.included], axis=1)
     err = reference_flat_forecast(p, features) - labels[p.target]
-    return np.append(2.0 * err @ x / len(x), 2.0 * np.mean(err))
+    g_w = (2.0 * err @ x / len(x)).reshape(p.weights.swapaxes(0, 1).shape).swapaxes(0, 1)
+    return np.append(g_w, 2.0 * np.mean(err))
 
 
 class TestStack:
@@ -660,3 +656,14 @@ class TestStack:
                         [Member(tree, 0), Member(init_hydronet(sub, dims, 0), 0)]):
             with pytest.raises(HydroNetsError, match="invalid-config"):
                 train_stack(members, train_set, TrainConfig(epochs=1))
+
+    def test_rejects_loss_weights_on_a_flat_member(self):
+        # A flat model's loss is its target's error; weights that a tree
+        # would reject as naming no basin of it must not pass unread.
+        g, store = generate_synthetic(SynthConfig(branching=1, height=2, n_steps=60, noise_std=0.1))
+        dims = Dims(window=3, embedding=2, horizon=1)
+        train_set, _, _ = prepare_datasets(store, g, dims.window, dims.horizon, 0.8)
+        flat = init_flat(g, "b0", 2, dims, 0)
+        for w in (LossWeights({"nope": 1.0}), LossWeights({"b0": 1.0})):
+            with pytest.raises(HydroNetsError, match="invalid-config"):
+                train_stack([Member(flat, 0, w)], train_set, TrainConfig(epochs=1))
